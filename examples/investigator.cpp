@@ -64,17 +64,17 @@ void RunVehicleAndExport(const std::string& log_path,
 int Investigate(const std::string& log_path,
                 const std::string& manifest_path) {
   std::printf("\n[investigator] loading artifacts...\n");
-  const proto::LoadedLog log = proto::ReadLogFile(log_path);
+  proto::LoadedLog log = proto::ReadLogFile(log_path);
   const audit::LoadedManifest manifest =
       audit::ReadManifestFile(manifest_path);
 
-  std::printf("[investigator] %zu entries, hash chain %s\n",
+  std::printf("[investigator] %zu entries, Merkle root %s\n",
               log.entries.size(),
-              log.chain_verified ? "VERIFIES (log is exactly as written)"
-                                 : "BROKEN (log was tampered with!)");
-  if (!log.chain_verified) return 1;
+              log.verified ? "VERIFIES (log is exactly as written)"
+                           : "MISMATCH (log was tampered with!)");
+  if (!log.verified) return 1;
 
-  audit::LogDatabase db(log.entries, manifest.topology);
+  const audit::LogDatabase db(std::move(log.entries), manifest.topology);
   audit::Auditor auditor(manifest.keys);
   const audit::AuditReport report = auditor.Audit(db);
   std::printf("\n%s", report.Render().c_str());
@@ -97,7 +97,7 @@ int Investigate(const std::string& log_path,
   // Provenance: trace the final steering command back to its sensory
   // origin, purely from the log.
   std::uint64_t last_steering_seq = 0;
-  for (const auto& entry : log.entries) {
+  for (const auto& entry : db.RawEntries()) {
     if (entry.topic == "steering" && entry.seq > last_steering_seq) {
       last_steering_seq = entry.seq;
     }

@@ -42,10 +42,10 @@ int main() {
 
   // --- Phase 2: investigator replays the evidence ------------------------
   const proto::LoadedLog log = proto::ReadLogFile(log_path);
-  std::printf("[investigator] loaded %zu entries, chain %s\n",
+  std::printf("[investigator] loaded %zu entries, Merkle root %s\n",
               log.entries.size(),
-              log.chain_verified ? "verifies" : "BROKEN");
-  if (!log.chain_verified) return 1;
+              log.verified ? "verifies" : "BROKEN");
+  if (!log.verified) return 1;
 
   pubsub::Master replay_master;
   proto::LogServer scratch;

@@ -179,9 +179,9 @@ int RunOrchestrator(const char* self, int messages,
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 
-  std::printf("[orchestrator] %zu log entries, chain %s\n",
+  std::printf("[orchestrator] %zu log entries, Merkle root %s\n",
               log_server.EntryCount(),
-              log_server.VerifyChain() ? "verifies" : "BROKEN");
+              log_server.VerifyRecords() ? "verifies" : "BROKEN");
 
   const audit::AuditReport report =
       audit::Auditor(log_server.Keys())
@@ -189,7 +189,7 @@ int RunOrchestrator(const char* self, int messages,
   std::printf("%s", report.Render().c_str());
 
   const bool ok = log_server.EntryCount() == expected &&
-                  log_server.VerifyChain() && report.unfaithful.empty() &&
+                  log_server.VerifyRecords() && report.unfaithful.empty() &&
                   report.TotalValid() == expected;
   std::printf("==> multi-process ADLP run %s\n",
               ok ? "audited clean." : "FAILED the audit.");

@@ -17,7 +17,7 @@
 using namespace adlp;
 
 int main() {
-  // The trusted logger: key registry + tamper-evident (hash-chained) store.
+  // The trusted logger: key registry + tamper-evident (Merkle-tree) store.
   proto::LogServer log_server;
   pubsub::Master master;
   Rng rng(2019);
@@ -50,10 +50,10 @@ int main() {
   detector.Shutdown();
 
   // What the logger now holds.
-  std::printf("\nlog server: %zu entries, %llu bytes, chain %s\n",
+  std::printf("\nlog server: %zu entries, %llu bytes, Merkle root %s\n",
               log_server.EntryCount(),
               static_cast<unsigned long long>(log_server.TotalBytes()),
-              log_server.VerifyChain() ? "verifies" : "BROKEN");
+              log_server.VerifyRecords() ? "verifies" : "BROKEN");
   for (const auto& entry : log_server.Entries()) {
     std::printf("  %-9s %-5s %-3s seq=%llu data=%zuB hash=%zuB "
                 "self_sig=%zuB peer_sig=%zuB\n",

@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
   std::printf("stop sign engaged: %s\n", stats.stop_engaged ? "yes" : "no");
 
   std::printf("\n--- trusted logger ---\n");
-  std::printf("entries: %zu  bytes: %.2f MB  hash chain: %s\n",
+  std::printf("entries: %zu  bytes: %.2f MB  Merkle root: %s\n",
               log_server.EntryCount(),
               static_cast<double>(log_server.TotalBytes()) / 1e6,
-              log_server.VerifyChain() ? "verifies" : "BROKEN");
+              log_server.VerifyRecords() ? "verifies" : "BROKEN");
 
   std::printf("\n--- audit ---\n");
   audit::Auditor auditor(log_server.Keys());

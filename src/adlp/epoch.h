@@ -11,7 +11,7 @@
 //   * two replicas signing DIFFERENT roots for the same epoch index have
 //     provably diverged — logger equivocation, the new verdict class;
 //   * an auditor verifies a sampled record in O(log n) with an inclusion
-//     proof against a sealed root instead of walking the full hash chain;
+//     proof against a sealed root instead of recomputing the whole tree;
 //   * consecutive roots of one replica must be Merkle-consistent
 //     (append-only); a broken prev-hash link or a root that does not match
 //     a recomputation over the stored records is store tampering.

@@ -40,12 +40,10 @@ void LogServer::Append(const LogEntry& entry) {
   MaybeSealLocked();
 }
 
-void LogServer::AppendRecordLocked(LogEntry entry, Bytes record) {
-  chain_.Append(record);
+void LogServer::AppendRecordLocked(const LogEntry& entry, Bytes record) {
   tree_.Append(record);
   total_bytes_ += record.size();
   bytes_by_component_[entry.component] += record.size();
-  entries_.push_back(std::move(entry));
   records_.push_back(std::move(record));
   if (tap_ != nullptr) {
     // Inside the critical section so tap order is exactly arrival order —
@@ -54,8 +52,8 @@ void LogServer::AppendRecordLocked(LogEntry entry, Bytes record) {
     // data plane's publisher ACKs are unaffected (logging is out-of-band).
     TapEvent event;
     event.kind = TapEvent::Kind::kEntry;
-    event.entry = entries_.back();
-    event.index = entries_.size() - 1;
+    event.entry = entry;
+    event.index = records_.size() - 1;
     tap_->Push(std::move(event));
   }
 }
@@ -90,7 +88,7 @@ std::optional<EpochRoot> LogServer::SealAtLocked(
   EpochRoot root;
   root.epoch = epoch_roots_.size();
   root.tree_size = tree_size;
-  root.root = tree_size == tree_.Size() ? tree_.Root() : tree_.RootAt(tree_size);
+  root.root = tree_.RootAt(tree_size);
   root.prev_root_hash = epoch_roots_.empty()
                             ? EpochGenesis()
                             : EpochRootDigest(epoch_roots_.back());
@@ -273,7 +271,7 @@ LogServer::RepairAppendResult LogServer::CommitRepairedEpoch(
       return RepairAppendResult::kRootMismatch;
     }
     for (std::size_t i = 0; i < records.size(); ++i) {
-      AppendRecordLocked(std::move(staged[i]), records[i]);
+      AppendRecordLocked(staged[i], records[i]);
     }
   }
   // Dedup state and seal move with the records, atomically: the watermark
@@ -295,22 +293,28 @@ void LogServer::AttachTap(LogTapQueue* tap) {
 
 std::vector<LogEntry> LogServer::Entries() const {
   MutexLock lock(mu_);
-  return entries_;
+  std::vector<LogEntry> out;
+  out.reserve(records_.size());
+  for (const Bytes& record : records_) {
+    out.push_back(DeserializeLogEntry(record));
+  }
+  return out;
 }
 
 std::vector<LogEntry> LogServer::EntriesFor(
     const crypto::ComponentId& id) const {
   MutexLock lock(mu_);
   std::vector<LogEntry> out;
-  for (const auto& e : entries_) {
-    if (e.component == id) out.push_back(e);
+  for (const Bytes& record : records_) {
+    LogEntry entry = DeserializeLogEntry(record);
+    if (entry.component == id) out.push_back(std::move(entry));
   }
   return out;
 }
 
 std::size_t LogServer::EntryCount() const {
   MutexLock lock(mu_);
-  return entries_.size();
+  return records_.size();
 }
 
 std::uint64_t LogServer::TotalBytes() const {
@@ -324,14 +328,11 @@ std::uint64_t LogServer::BytesFor(const crypto::ComponentId& id) const {
   return it == bytes_by_component_.end() ? 0 : it->second;
 }
 
-crypto::Digest LogServer::ChainHead() const {
+bool LogServer::VerifyRecords() const {
   MutexLock lock(mu_);
-  return chain_.Head();
-}
-
-bool LogServer::VerifyChain() const {
-  MutexLock lock(mu_);
-  return crypto::HashChain::Verify(records_, chain_.Head());
+  crypto::MerkleTree recomputed;
+  for (const Bytes& record : records_) recomputed.Append(record);
+  return recomputed.Root() == tree_.Root();
 }
 
 std::vector<Bytes> LogServer::SerializedRecords() const {

@@ -1,18 +1,17 @@
 // Trusted logger.
 //
-// Stores serialized log entries in arrival order under a tamper-evident
-// hash chain, keeps the public-key registry, and exposes the query surface
-// the auditor works from. It has no back-channel to the nodes: entries are
-// pushed in, so a logger failure never interrupts the data plane (no
-// single-point failure for the pub/sub system).
+// Stores each log entry once, as its serialized record, in arrival order
+// under an RFC 6962 Merkle tree, keeps the public-key registry, and exposes
+// the query surface the auditor works from. It has no back-channel to the
+// nodes: entries are pushed in, so a logger failure never interrupts the
+// data plane (no single-point failure for the pub/sub system).
 //
-// Beyond the linear hash chain the server maintains an RFC 6962 Merkle tree
-// over the same serialized records and periodically seals it into signed
-// `EpochRoot`s (every `seal_every` appends and/or `seal_interval_ms` of
-// wall time, checked lazily on append). Sealed roots are what replicas of
-// the logger can be cross-audited against: divergent roots for the same
-// epoch are logger equivocation, and sampled records verify in O(log n)
-// with inclusion proofs instead of a full chain walk.
+// The tree is periodically sealed into signed, hash-linked `EpochRoot`s
+// (every `seal_every` appends and/or `seal_interval_ms` of wall time,
+// checked lazily on append). Sealed roots make the store tamper-evident and
+// are what replicas of the logger can be cross-audited against: divergent
+// roots for the same epoch are logger equivocation, and sampled records
+// verify in O(log n) with inclusion proofs.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "adlp/log_sink.h"
-#include "crypto/hashchain.h"
 #include "crypto/keystore.h"
 #include "crypto/merkle.h"
 #include "crypto/sig.h"
@@ -65,6 +63,7 @@ class LogServer final : public LogSink {
   void Append(const LogEntry& entry) override;
 
   // --- Query surface (auditor / experiments) ---
+  /// Entries parsed from the stored records, in arrival order.
   std::vector<LogEntry> Entries() const;
   std::vector<LogEntry> EntriesFor(const crypto::ComponentId& id) const;
   std::size_t EntryCount() const;
@@ -77,9 +76,9 @@ class LogServer final : public LogSink {
   const crypto::KeyStore& Keys() const { return keys_; }
 
   // --- Tamper evidence ---
-  crypto::Digest ChainHead() const;
-  /// Recomputes the hash chain over the stored serialized records.
-  bool VerifyChain() const;
+  /// Recomputes the Merkle root over the stored records and compares it
+  /// with the tree's root.
+  bool VerifyRecords() const;
   /// Serialized records, e.g. for offline verification.
   std::vector<Bytes> SerializedRecords() const;
   /// Serialized records [first, first + count), clamped to what is stored
@@ -88,7 +87,8 @@ class LogServer final : public LogSink {
                                  std::uint64_t count) const;
 
   /// Test-only: corrupts the stored record at `index` (flips one byte) to
-  /// demonstrate tamper evidence. Returns false if out of range.
+  /// demonstrate tamper evidence. Returns false if out of range. Entries()
+  /// throws wire::WireError if the corrupted record no longer parses.
   bool CorruptRecordForTest(std::size_t index);
 
   // --- Epoch sealing ---
@@ -197,6 +197,7 @@ class LogServer final : public LogSink {
   /// Attaches a tap that observes every subsequent key registration and
   /// appended entry in the server's arrival order (entry events are pushed
   /// inside the append critical section, so tap order == Entries() order).
+  /// Only a tapped append copies the entry.
   /// The queue must outlive the server or be detached first; pass nullptr
   /// to detach. The tap's overflow policy decides what a lagging consumer
   /// costs: kDropNewest loses events, kBlock slows ingestion.
@@ -212,7 +213,7 @@ class LogServer final : public LogSink {
       const std::map<std::string, std::uint64_t>* watermark_snapshot = nullptr)
       REQUIRES(mu_);
   void MaybeSealLocked() REQUIRES(mu_);
-  void AppendRecordLocked(LogEntry entry, Bytes record) REQUIRES(mu_);
+  void AppendRecordLocked(const LogEntry& entry, Bytes record) REQUIRES(mu_);
 
   const LogServerOptions options_;
   const crypto::SigKeyPair seal_keys_;  // immutable after construction
@@ -221,9 +222,9 @@ class LogServer final : public LogSink {
   // keys_ is internally synchronized (KeyStore has its own lock) and is
   // handed out by Keys() without mu_, so it is deliberately not guarded.
   crypto::KeyStore keys_;
-  crypto::HashChain chain_ GUARDED_BY(mu_);
   crypto::MerkleTree tree_ GUARDED_BY(mu_);
-  std::vector<LogEntry> entries_ GUARDED_BY(mu_);
+  /// The only copy of each entry. Every record parses: Append serialized
+  /// it, and repair validates records before committing them.
   std::vector<Bytes> records_ GUARDED_BY(mu_);
   std::uint64_t total_bytes_ GUARDED_BY(mu_) = 0;
   std::map<crypto::ComponentId, std::uint64_t> bytes_by_component_

@@ -151,27 +151,6 @@ std::uint64_t ParseLogAck(BytesView frame) {
   return seq;
 }
 
-// --- RemoteLogSink -----------------------------------------------------------
-
-RemoteLogSink::RemoteLogSink(std::uint16_t port)
-    : channel_(transport::TcpConnect(port)) {}
-
-RemoteLogSink::~RemoteLogSink() {
-  if (channel_) channel_->Close();
-}
-
-void RemoteLogSink::RegisterKey(const crypto::ComponentId& id,
-                                const crypto::PublicKey& key) {
-  // Fire-and-forget: a dead logger must not disturb the data plane.
-  (void)channel_->Send(SerializeLogUpload(id, key));
-}
-
-void RemoteLogSink::Append(const LogEntry& entry) {
-  (void)channel_->Send(SerializeLogUpload(entry));
-}
-
-bool RemoteLogSink::Connected() const { return channel_->IsOpen(); }
-
 // --- LogServerService --------------------------------------------------------
 
 LogServerService::LogServerService(LogServer& server, std::uint16_t port,

@@ -2,15 +2,12 @@
 //
 // The paper's deployment pushes log entries one-way to a log server so that
 // "any failure at the log server does not interrupt a normal operation of
-// the ROS nodes". This module provides:
-//
-//   * RemoteLogSink  — a LogSink that serializes key registrations and log
-//     entries onto a TCP connection (fire-and-forget; a dead server makes
-//     Append a no-op, never an error surfaced to the component);
-//   * LogServerService — accepts connections and feeds a local LogServer.
+// the ROS nodes". This module provides the upload wire codec and
+// LogServerService, which accepts connections and feeds a local LogServer.
+// The uploading side is ResilientLogSink (resilient_log.h).
 //
 // Components therefore run unchanged whether their sink is an in-process
-// LogServer or a RemoteLogSink pointed at another process.
+// LogServer or a ResilientLogSink pointed at another process.
 #pragma once
 
 #include <atomic>
@@ -67,22 +64,6 @@ void ApplyLogUpload(BytesView frame, LogSink& sink);
 Bytes SerializeLogAck(std::uint64_t seq);
 /// Throws wire::WireError unless `frame` is an ack.
 std::uint64_t ParseLogAck(BytesView frame);
-
-class RemoteLogSink final : public LogSink {
- public:
-  /// Connects to the log server at 127.0.0.1:`port`.
-  explicit RemoteLogSink(std::uint16_t port);
-  ~RemoteLogSink() override;
-
-  void RegisterKey(const crypto::ComponentId& id,
-                   const crypto::PublicKey& key) override;
-  void Append(const LogEntry& entry) override;
-
-  bool Connected() const;
-
- private:
-  transport::ChannelPtr channel_;
-};
 
 /// Accept loop feeding `server`. Under kThreadPerConn: one ingestion thread
 /// per connection. Under kReactor: connections are accepted and drained on

@@ -1,9 +1,8 @@
-// Fault-tolerant delivery of log entries to the remote trusted logger.
+// Fault-tolerant delivery of log entries to the remote trusted logger
+// (LogServerService, remote_log.h).
 //
-// `RemoteLogSink` (remote_log.h) is deliberately fire-and-forget over one
-// TCP connection: a single logger hiccup closes the channel and every later
-// entry is silently lost. `ResilientLogSink` keeps the paper's trust model —
-// strictly one-way push, never any back-pressure on the data plane — but
+// With default options the sink keeps the paper's fire-and-forget contract —
+// strictly one-way push, never any back-pressure on the data plane — and
 // makes delivery survive logger crashes and partitions:
 //
 //   * every upload frame (key registration or entry) enters a bounded

@@ -82,9 +82,9 @@ AuditReport Auditor::Audit(const LogDatabase& db,
       const auto& [key, evidence] = *pairs[index[j]];
       const bool is_base =
           (!evidence.publisher.empty() &&
-           evidence.publisher.front().entry.scheme == LogScheme::kBase) ||
+           evidence.publisher.front().entry->scheme == LogScheme::kBase) ||
           (!evidence.subscriber.empty() &&
-           evidence.subscriber.front().scheme == LogScheme::kBase);
+           evidence.subscriber.front()->scheme == LogScheme::kBase);
       if (is_base && !options_.include_base_scheme) {
         PairPlan skipped;
         skipped.skip = true;
@@ -160,15 +160,6 @@ AuditReport Auditor::Audit(const LogDatabase& db,
   obs::metric::AuditWallNs().Record(
       static_cast<std::uint64_t>(MonotonicNowNs() - wall_start));
   return report;
-}
-
-PairVerdict Auditor::AuditPair(const LogDatabase& db, const PairKey& key,
-                               const PairEvidence& evidence,
-                               crypto::VerifyCache* cache) const {
-  PairPlan plan = PreparePair(keys_, db.topology(), key, evidence);
-  std::vector<crypto::VerifyRequest> requests;
-  EmitPairRequests(plan, requests);
-  return FinalizePairPlan(plan, crypto::VerifyDigestBatch(requests, cache));
 }
 
 }  // namespace adlp::audit

@@ -75,11 +75,6 @@ class Auditor {
   // StreamingAuditor so both produce byte-identical verdicts by running the
   // same code.
 
-  /// Reference single-pair audit: prepare, verify, finalize in one call.
-  PairVerdict AuditPair(const LogDatabase& db, const PairKey& key,
-                        const PairEvidence& evidence,
-                        crypto::VerifyCache* cache) const;
-
   const crypto::KeyStore& keys_;
   AuditorOptions options_;
 };

@@ -27,13 +27,13 @@ ChainTimestamps Collect(const LogDatabase& db, const FlowDependency& dep) {
     return ts;
   }
 
-  ts.t_x_out = first.publisher.front().entry.timestamp;
-  ts.t_y_in = first.subscriber.front().timestamp;
-  ts.t_y_out = second.publisher.front().entry.timestamp;
-  ts.t_z_in = second.subscriber.front().timestamp;
-  ts.x = first.publisher.front().entry.component;
-  ts.y = first.subscriber.front().component;
-  ts.z = second.subscriber.front().component;
+  ts.t_x_out = first.publisher.front().entry->timestamp;
+  ts.t_y_in = first.subscriber.front()->timestamp;
+  ts.t_y_out = second.publisher.front().entry->timestamp;
+  ts.t_z_in = second.subscriber.front()->timestamp;
+  ts.x = first.publisher.front().entry->component;
+  ts.y = first.subscriber.front()->component;
+  ts.z = second.subscriber.front()->component;
   ts.complete = true;
   return ts;
 }

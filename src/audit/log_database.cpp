@@ -9,7 +9,7 @@ LogDatabase::LogDatabase(std::vector<proto::LogEntry> entries,
     if (entry.direction == proto::Direction::kIn) {
       // Subscriber entry: the instance is (topic, seq, owner).
       PairKey key{entry.topic, entry.seq, entry.component};
-      pairs_[key].subscriber.push_back(entry);
+      pairs_[key].subscriber.push_back(&entry);
       continue;
     }
 
@@ -22,14 +22,14 @@ LogDatabase::LogDatabase(std::vector<proto::LogEntry> entries,
       for (const auto& ack : entry.acks) {
         PairKey key{entry.topic, entry.seq, ack.subscriber};
         pairs_[key].publisher.push_back(
-            PublisherEvidence{entry, ack.data_hash, ack.signature});
+            PublisherEvidence{&entry, ack.data_hash, ack.signature});
       }
       continue;
     }
     if (!entry.peer.empty()) {
       PairKey key{entry.topic, entry.seq, entry.peer};
       pairs_[key].publisher.push_back(
-          PublisherEvidence{entry, entry.peer_data_hash,
+          PublisherEvidence{&entry, entry.peer_data_hash,
                             entry.peer_signature});
       continue;
     }
@@ -38,7 +38,7 @@ LogDatabase::LogDatabase(std::vector<proto::LogEntry> entries,
       for (const auto& sub : topic_it->second.subscribers) {
         PairKey key{entry.topic, entry.seq, sub};
         pairs_[key].publisher.push_back(
-            PublisherEvidence{entry, entry.peer_data_hash,
+            PublisherEvidence{&entry, entry.peer_data_hash,
                               entry.peer_signature});
       }
     } else {
@@ -46,14 +46,14 @@ LogDatabase::LogDatabase(std::vector<proto::LogEntry> entries,
       // fabricated publications on unknown topics are still examined.
       PairKey key{entry.topic, entry.seq, {}};
       pairs_[key].publisher.push_back(PublisherEvidence{
-          entry, entry.peer_data_hash, entry.peer_signature});
+          &entry, entry.peer_data_hash, entry.peer_signature});
     }
   }
 }
 
 const std::vector<PairShard>& LogDatabase::Shards() const {
   std::call_once(shards_once_, [this] {
-    // Resolve each pair's publisher exactly as Auditor::AuditPair does, so
+    // Resolve each pair's publisher exactly as FactsFromEvidence does, so
     // the shard key names the real blame target for the whole group.
     std::map<ShardKey, std::vector<std::size_t>> groups;
     std::size_t index = 0;
@@ -62,9 +62,9 @@ const std::vector<PairShard>& LogDatabase::Shards() const {
       if (const auto p = PublisherOf(key.topic)) {
         shard.publisher = *p;
       } else if (!evidence.publisher.empty()) {
-        shard.publisher = evidence.publisher.front().entry.component;
+        shard.publisher = evidence.publisher.front().entry->component;
       } else if (!evidence.subscriber.empty()) {
-        shard.publisher = evidence.subscriber.front().peer;
+        shard.publisher = evidence.subscriber.front()->peer;
       }
       groups[shard].push_back(index);
       ++index;

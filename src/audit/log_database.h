@@ -28,16 +28,17 @@ struct PairKey {
 
 /// Publisher-side evidence for one instance: the entry plus the subscriber's
 /// (hash, signature) pair, which lives either in the entry's dedicated
-/// fields or in one AckRecord of an aggregated entry.
+/// fields or in one AckRecord of an aggregated entry. Evidence refers into
+/// the database's entries; it holds no copies.
 struct PublisherEvidence {
-  proto::LogEntry entry;
-  Bytes peer_data_hash;
-  Bytes peer_signature;
+  const proto::LogEntry* entry = nullptr;
+  BytesView peer_data_hash;
+  BytesView peer_signature;
 };
 
 struct PairEvidence {
-  std::vector<PublisherEvidence> publisher;       // usually 0 or 1
-  std::vector<proto::LogEntry> subscriber;        // usually 0 or 1
+  std::vector<PublisherEvidence> publisher;        // usually 0 or 1
+  std::vector<const proto::LogEntry*> subscriber;  // usually 0 or 1
 };
 
 /// Audit-shard identity: all transmission instances between one
@@ -69,6 +70,10 @@ class LogDatabase {
   /// master's manifest); it is what turns "publisher logged, subscriber
   /// didn't" into a *hidden* subscriber entry rather than a non-event.
   LogDatabase(std::vector<proto::LogEntry> entries, Topology topology);
+
+  // Pairs() points into entries_, so the database stays where it was built.
+  LogDatabase(const LogDatabase&) = delete;
+  LogDatabase& operator=(const LogDatabase&) = delete;
 
   const std::map<PairKey, PairEvidence>& Pairs() const { return pairs_; }
   const Topology& topology() const { return topology_; }

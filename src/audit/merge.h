@@ -2,7 +2,7 @@
 // AuditReport.
 //
 // Both audit paths — serial and sharded-parallel — evaluate pairs with the
-// same pure AuditPair function and then fold the verdicts HERE, in the
+// same pure pair_eval pipeline and then fold the verdicts HERE, in the
 // LogDatabase's pair-iteration order. Because the fold is the only stateful
 // step and it always runs serially over identically ordered inputs, the
 // parallel auditor's report is byte-identical to the serial one by

@@ -70,27 +70,26 @@ PairFacts FactsFromEvidence(const Topology& topology, const PairKey& key,
   if (const auto p = TopologyPublisherOf(topology, key.topic)) {
     facts.publisher = *p;
   } else if (!evidence.publisher.empty()) {
-    facts.publisher = evidence.publisher.front().entry.component;
+    facts.publisher = evidence.publisher.front().entry->component;
   } else if (!evidence.subscriber.empty()) {
-    facts.publisher = evidence.subscriber.front().peer;
+    facts.publisher = evidence.subscriber.front()->peer;
   }
   facts.pub_count = evidence.publisher.size();
   facts.sub_count = evidence.subscriber.size();
   if (!evidence.publisher.empty()) {
-    const LogEntry& first = evidence.publisher.front().entry;
+    const LogEntry& first = *evidence.publisher.front().entry;
     facts.pub_first_component = first.component;
     facts.pub_base = first.scheme == LogScheme::kBase;
   }
   if (!evidence.subscriber.empty()) {
-    const LogEntry& first = evidence.subscriber.front();
+    const LogEntry& first = *evidence.subscriber.front();
     facts.sub_first_component = first.component;
     facts.sub_base = first.scheme == LogScheme::kBase;
   }
   if (!evidence.publisher.empty() && !evidence.subscriber.empty()) {
-    facts.base_agree =
-        evidence.publisher.front().entry.data ==
-            evidence.subscriber.front().data &&
-        evidence.subscriber.front().data_hash.empty();
+    const LogEntry& sub = *evidence.subscriber.front();
+    facts.base_agree = evidence.publisher.front().entry->data == sub.data &&
+                       sub.data_hash.empty();
   }
   return facts;
 }
@@ -167,7 +166,7 @@ PairPlan PreparePair(const crypto::KeyStore& keys, const Topology& topology,
   plan.pub_ev =
       evidence.publisher.empty() ? nullptr : &evidence.publisher.front();
   plan.sub_entry =
-      evidence.subscriber.empty() ? nullptr : &evidence.subscriber.front();
+      evidence.subscriber.empty() ? nullptr : evidence.subscriber.front();
   if (DecideStructural(plan, key, FactsFromEvidence(topology, key, evidence))) {
     return plan;
   }
@@ -178,13 +177,13 @@ PairPlan PreparePair(const crypto::KeyStore& keys, const Topology& topology,
   plan.pub_key = keys.Find(v.publisher);
   plan.sub_key = keys.Find(v.subscriber);
   if (plan.pub_ev != nullptr) {
-    plan.pub_digest = ClaimedDigest(plan.pub_ev->entry, v.publisher);
+    plan.pub_digest = ClaimedDigest(*plan.pub_ev->entry, v.publisher);
     // The ACK proves receipt of *this* publication only if the subscriber's
     // payload hash matches the publisher's claim AND the ACK signature
     // verifies over the digest rebound to this entry's header — a replayed
     // ACK from an older seq fails because the rebound digest embeds the
     // sequence number.
-    const auto pub_payload_hash = ClaimedPayloadHash(plan.pub_ev->entry);
+    const auto pub_payload_hash = ClaimedPayloadHash(*plan.pub_ev->entry);
     const auto ack_payload_hash =
         PayloadHashFromBytes(plan.pub_ev->peer_data_hash);
     plan.ack_gate = plan.pub_digest.has_value() &&
@@ -212,7 +211,7 @@ void EmitPairRequests(PairPlan& plan,
   };
   if (plan.pub_ev != nullptr) {
     plan.pub_self =
-        add(plan.pub_key, plan.pub_digest, plan.pub_ev->entry.self_signature);
+        add(plan.pub_key, plan.pub_digest, plan.pub_ev->entry->self_signature);
     if (plan.ack_gate) {
       plan.pub_ack =
           add(plan.sub_key, plan.pub_digest, plan.pub_ev->peer_signature);

@@ -15,14 +15,14 @@ ProvenanceGraph::ProvenanceGraph(const LogDatabase& db) : db_(db) {
     // Reception time: the subscriber's own log time.
     if (!evidence.subscriber.empty()) {
       receptions_[key.subscriber][key.topic].push_back(
-          Reception{evidence.subscriber.front().timestamp, key});
+          Reception{evidence.subscriber.front()->timestamp, key});
     }
     // Emission time: the publisher's action time, else the stamp the
     // subscriber recorded.
     if (!evidence.publisher.empty()) {
-      emission_times_[key] = evidence.publisher.front().entry.timestamp;
+      emission_times_[key] = evidence.publisher.front().entry->timestamp;
     } else if (!evidence.subscriber.empty()) {
-      emission_times_[key] = evidence.subscriber.front().message_stamp;
+      emission_times_[key] = evidence.subscriber.front()->message_stamp;
     }
   }
   for (auto& [component, by_topic] : receptions_) {

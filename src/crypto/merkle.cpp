@@ -62,6 +62,7 @@ Digest MerkleTree::Root() const {
 }
 
 Digest MerkleTree::RootAt(std::uint64_t size) const {
+  if (size == Size()) return Root();
   if (size == 0) return EmptyRoot();
   return SubtreeRoot(0, size);
 }

@@ -1,10 +1,10 @@
 // Incremental Merkle hash tree (RFC 6962 construction) over the trusted
-// logger's serialized records.
+// logger's serialized records — the only hash structure over them.
 //
-// The per-entry hash chain proves integrity of the WHOLE log but only by
-// walking it end to end — O(n) per audit, which caps fleet size. Sealing the
-// log into Merkle-rooted epochs gives auditors two O(log n) primitives
-// instead ("Accountability of Things" large-scale tamper-evident logging):
+// The root commits to every record in order, so any modification, deletion,
+// insertion, or reordering changes it. Sealing the log into Merkle-rooted
+// epochs also gives auditors two O(log n) primitives instead of an O(n) walk
+// ("Accountability of Things" large-scale tamper-evident logging):
 //
 //   * inclusion proof — record i is covered by root R over n leaves;
 //   * consistency proof — the tree of size m whose root was sealed earlier
@@ -46,7 +46,8 @@ class MerkleTree {
   /// empty). O(log n): folded from the cached perfect-subtree root stack.
   Digest Root() const;
 
-  /// Root over the first `size` leaves (a past epoch's view). O(size).
+  /// Root over the first `size` leaves (a past epoch's view). O(size), or
+  /// O(log n) when `size` is the current size.
   Digest RootAt(std::uint64_t size) const;
 
   /// Audit path for leaf `index` within the tree of the first `size`

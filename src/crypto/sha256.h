@@ -2,7 +2,7 @@
 //
 // This is the hash `h(.)` of the paper: preimage- and collision-resistant,
 // 32-byte digest. Used for message digests, PKCS#1 v1.5 signatures, the
-// subscriber's stored `h(I_y)`, HMAC, and the trusted logger's hash chain.
+// subscriber's stored `h(I_y)`, HMAC, and the trusted logger's Merkle tree.
 #pragma once
 
 #include <array>

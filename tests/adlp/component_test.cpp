@@ -24,7 +24,7 @@ TEST(ComponentTest, AdlpEndToEnd) {
 
   // 5 out + 5 in; the final out-entry awaits its ACK, so wait.
   EXPECT_TRUE(WaitFor([&] { return sys.server.EntryCount() == 10u; }));
-  EXPECT_TRUE(sys.server.VerifyChain());
+  EXPECT_TRUE(sys.server.VerifyRecords());
   EXPECT_TRUE(sys.server.Keys().Contains("camera"));
   EXPECT_TRUE(sys.server.Keys().Contains("detector"));
 }

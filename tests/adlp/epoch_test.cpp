@@ -231,7 +231,7 @@ TEST(LogFileEpochTest, EpochRootsRoundTripThroughLogFile) {
   const std::string path = ::testing::TempDir() + "epoch_roundtrip.log";
   WriteLogFile(path, server);
   const LoadedLog loaded = ReadLogFile(path);
-  EXPECT_TRUE(loaded.chain_verified);
+  EXPECT_TRUE(loaded.verified);
   EXPECT_EQ(loaded.entries.size(), 9u);
   EXPECT_EQ(loaded.epoch_roots, server.EpochRoots());
   std::remove(path.c_str());
@@ -241,9 +241,9 @@ TEST(LogFileEpochTest, FilesWithoutEpochFramesStillLoad) {
   LogServer server;
   for (std::uint64_t i = 0; i < 4; ++i) server.Append(MakeEntry("pub", i));
   const std::string path = ::testing::TempDir() + "epoch_none.log";
-  WriteLogRecords(path, server.SerializedRecords(), server.ChainHead());
+  WriteLogRecords(path, server.SerializedRecords(), server.MerkleRoot());
   const LoadedLog loaded = ReadLogFile(path);
-  EXPECT_TRUE(loaded.chain_verified);
+  EXPECT_TRUE(loaded.verified);
   EXPECT_TRUE(loaded.epoch_roots.empty());
   std::remove(path.c_str());
 }

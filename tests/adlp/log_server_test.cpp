@@ -46,14 +46,14 @@ TEST(LogServerTest, ByteAccounting) {
 TEST(LogServerTest, ChainVerifiesWhenUntampered) {
   LogServer server;
   for (int i = 0; i < 10; ++i) server.Append(MakeEntry("a", i));
-  EXPECT_TRUE(server.VerifyChain());
+  EXPECT_TRUE(server.VerifyRecords());
 }
 
 TEST(LogServerTest, TamperDetected) {
   LogServer server;
   for (int i = 0; i < 10; ++i) server.Append(MakeEntry("a", i));
   ASSERT_TRUE(server.CorruptRecordForTest(4));
-  EXPECT_FALSE(server.VerifyChain());
+  EXPECT_FALSE(server.VerifyRecords());
 }
 
 TEST(LogServerTest, CorruptOutOfRangeFails) {
@@ -61,14 +61,19 @@ TEST(LogServerTest, CorruptOutOfRangeFails) {
   EXPECT_FALSE(server.CorruptRecordForTest(0));
 }
 
-TEST(LogServerTest, ChainHeadAdvances) {
+TEST(LogServerTest, MerkleRootAdvances) {
   LogServer server;
-  const auto h0 = server.ChainHead();
+  const auto r0 = server.MerkleRoot();
+  EXPECT_EQ(r0, crypto::MerkleTree::EmptyRoot());
   server.Append(MakeEntry("a", 1));
-  const auto h1 = server.ChainHead();
-  EXPECT_NE(h0, h1);
+  const auto r1 = server.MerkleRoot();
+  EXPECT_NE(r0, r1);
   server.Append(MakeEntry("a", 2));
-  EXPECT_NE(server.ChainHead(), h1);
+  EXPECT_NE(server.MerkleRoot(), r1);
+  // The same entry appended again is a new leaf, not a no-op.
+  const auto r2 = server.MerkleRoot();
+  server.Append(MakeEntry("a", 2));
+  EXPECT_NE(server.MerkleRoot(), r2);
 }
 
 TEST(LogServerTest, KeyRegistration) {
@@ -101,7 +106,7 @@ TEST(LogServerTest, ConcurrentAppendsAllStored) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(server.EntryCount(), 800u);
-  EXPECT_TRUE(server.VerifyChain());
+  EXPECT_TRUE(server.VerifyRecords());
 }
 
 }  // namespace

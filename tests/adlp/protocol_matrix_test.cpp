@@ -86,7 +86,7 @@ TEST_P(ProtocolMatrixTest, DeliversAndAuditsClean) {
     return;
   }
 
-  EXPECT_TRUE(sys.server.VerifyChain());
+  EXPECT_TRUE(sys.server.VerifyRecords());
   const audit::AuditReport report =
       audit::Auditor(sys.server.Keys())
           .Audit(sys.server.Entries(), sys.master.Topology());

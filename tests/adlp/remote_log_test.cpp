@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "adlp/resilient_log.h"
 #include "audit/auditor.h"
 #include "test_util.h"
 #include "wire/wire.h"
@@ -37,10 +38,13 @@ TEST(LogUploadCodecTest, GarbageRejected) {
   EXPECT_THROW(ApplyLogUpload(Bytes(9, 0xff), server), wire::WireError);
 }
 
+// The uploader side is ResilientLogSink with default options: untagged,
+// fire-and-forget frames, the paper's one-way push.
+
 TEST(RemoteLogTest, EntriesFlowOverTcp) {
   LogServer server;
   LogServerService service(server, 0);
-  RemoteLogSink sink(service.Port());
+  ResilientLogSink sink(service.Port());
 
   Rng rng(2);
   const auto kp = crypto::GenerateSigKeyPair(rng, crypto::SigAlgorithm::kRsaPkcs1Sha256, 256);
@@ -54,14 +58,14 @@ TEST(RemoteLogTest, EntriesFlowOverTcp) {
   }
   EXPECT_TRUE(WaitFor([&] { return server.EntryCount() == 10; }));
   EXPECT_TRUE(server.Keys().Contains("node"));
-  EXPECT_TRUE(server.VerifyChain());
+  EXPECT_TRUE(server.VerifyRecords());
   service.Shutdown();
 }
 
 TEST(RemoteLogTest, ServerDeathDoesNotDisturbTheComponent) {
   LogServer server;
   auto service = std::make_unique<LogServerService>(server, 0);
-  RemoteLogSink sink(service->Port());
+  ResilientLogSink sink(service->Port());
 
   LogEntry e;
   e.component = "node";
@@ -80,8 +84,8 @@ TEST(RemoteLogTest, FullComponentStackOverRemoteLogger) {
   // Components wired to the logger via TCP; the audit works as usual.
   LogServer server;
   LogServerService service(server, 0);
-  RemoteLogSink pub_sink(service.Port());
-  RemoteLogSink sub_sink(service.Port());
+  ResilientLogSink pub_sink(service.Port());
+  ResilientLogSink sub_sink(service.Port());
 
   pubsub::Master master;
   Rng rng(3);

@@ -143,7 +143,7 @@ void ExpectConverged(const proto::LogServer& local,
     EXPECT_EQ(local_roots[i].tree_size, source_roots[i].tree_size);
     EXPECT_EQ(local_roots[i].root, source_roots[i].root);
   }
-  EXPECT_TRUE(local.VerifyChain());
+  EXPECT_TRUE(local.VerifyRecords());
 }
 
 // --- Sync codec --------------------------------------------------------------

@@ -112,7 +112,7 @@ TEST(ReplicatedLogSinkTest, CommitsOnFullFleetAndDeliversEverywhere) {
   for (auto& server : fleet.servers) {
     EXPECT_TRUE(WaitFor([&] { return server->EntryCount() == 5; }));
     EXPECT_TRUE(server->Keys().Contains("node"));
-    EXPECT_TRUE(server->VerifyChain());
+    EXPECT_TRUE(server->VerifyRecords());
   }
 
   const ReplicatedSinkStats stats = sink.Stats();
@@ -191,7 +191,7 @@ TEST(ReplicatedLogSinkTest, ReplicaDropRetransmitsExactlyOnce) {
         << "replica " << r << ": retransmission must not duplicate entries";
     const auto entries = fleet.servers[r]->Entries();
     for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(entries[i].seq, i);
-    EXPECT_TRUE(fleet.servers[r]->VerifyChain());
+    EXPECT_TRUE(fleet.servers[r]->VerifyRecords());
     EXPECT_TRUE(fleet.servers[r]->Keys().Contains("node"));
   }
   EXPECT_GE(sink.ReplicaStats(2).reconnects, 1u);
@@ -240,7 +240,7 @@ TEST(ReplicatedLogSinkTest, ReconnectMustNotReplayUnackedKeyAheadOfEntries) {
   EXPECT_EQ(entries[0].seq, 0u);
   EXPECT_EQ(entries[1].seq, 1u);
   EXPECT_TRUE(server.Keys().Contains("node"));
-  EXPECT_TRUE(server.VerifyChain());
+  EXPECT_TRUE(server.VerifyRecords());
   EXPECT_EQ(sink.Stats().acked_seq, 3u);
   EXPECT_GE(sink.Stats().reconnects, 1u);
 }

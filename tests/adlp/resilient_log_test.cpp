@@ -104,7 +104,7 @@ TEST(ResilientLogSinkTest, LoggerDyingMidStreamReplaysInOrder) {
   const SinkStats stats = sink.Stats();
   EXPECT_GE(stats.reconnects, 1u);
   EXPECT_EQ(stats.entries_dropped, 0u);
-  EXPECT_TRUE(server.VerifyChain());
+  EXPECT_TRUE(server.VerifyRecords());
   service->Shutdown();
 }
 

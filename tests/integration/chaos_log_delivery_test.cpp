@@ -32,7 +32,7 @@ constexpr std::size_t kExpectedEntries = 2u * kTotalMessages;
 struct RunOutcome {
   audit::AuditReport report;
   std::size_t entries = 0;
-  bool chain_ok = false;
+  bool records_ok = false;
   proto::SinkStats pub_stats;
   proto::SinkStats sub_stats;
 };
@@ -128,7 +128,7 @@ RunOutcome RunFleet(bool chaos, transport::TransportMode mode) {
 
   RunOutcome outcome;
   outcome.entries = server.EntryCount();
-  outcome.chain_ok = server.VerifyChain();
+  outcome.records_ok = server.VerifyRecords();
   outcome.pub_stats = pub_sink.Stats();
   outcome.sub_stats = sub_sink.Stats();
   outcome.report = audit::Auditor(server.Keys())
@@ -185,14 +185,14 @@ TEST_P(ChaosLogDeliveryTest, VerdictsMatchUninterruptedBaseline) {
 
   // The baseline is itself clean.
   ASSERT_EQ(baseline.entries, kExpectedEntries);
-  EXPECT_TRUE(baseline.chain_ok);
+  EXPECT_TRUE(baseline.records_ok);
   EXPECT_TRUE(baseline.report.unfaithful.empty());
   EXPECT_EQ(baseline.report.TotalValid(), kExpectedEntries);
 
   // The chaos run reaches the same verdicts: same entry count, same number
   // of audited transmissions, every verdict kOk, nobody blamed.
   EXPECT_EQ(chaos.entries, baseline.entries);
-  EXPECT_TRUE(chaos.chain_ok);
+  EXPECT_TRUE(chaos.records_ok);
   EXPECT_EQ(chaos.report.TotalValid(), baseline.report.TotalValid());
   EXPECT_EQ(chaos.report.TotalInvalid(), baseline.report.TotalInvalid());
   EXPECT_EQ(chaos.report.TotalHidden(), baseline.report.TotalHidden());

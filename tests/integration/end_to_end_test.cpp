@@ -137,10 +137,10 @@ TEST(EndToEndTest, TamperedLogStoreIsEvident) {
   app.Run(0.5);
   app.Shutdown();
 
-  ASSERT_TRUE(server.VerifyChain());
+  ASSERT_TRUE(server.VerifyRecords());
   ASSERT_GT(server.EntryCount(), 10u);
   server.CorruptRecordForTest(server.EntryCount() / 2);
-  EXPECT_FALSE(server.VerifyChain());
+  EXPECT_FALSE(server.VerifyRecords());
 }
 
 /// One ADLP fleet over real TCP in the given transport mode; returns the

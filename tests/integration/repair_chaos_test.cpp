@@ -212,7 +212,7 @@ TEST(RepairChaosTest, RestartPastSpoolHorizonConvergesViaPeerRepair) {
       EXPECT_EQ(roots[e].root, reference[e].root);
     }
   }
-  EXPECT_TRUE(servers[2].VerifyChain());
+  EXPECT_TRUE(servers[2].VerifyRecords());
   EXPECT_TRUE(agent.Findings().empty()) << "live peers are honest";
   EXPECT_GT(agent.Stats().records_repaired, 0u);
 

@@ -113,7 +113,7 @@ TEST(SelfDrivingAppTest, AdlpLogsAuditClean) {
   app.Shutdown();
 
   EXPECT_GT(server.EntryCount(), 100u);
-  EXPECT_TRUE(server.VerifyChain());
+  EXPECT_TRUE(server.VerifyRecords());
 
   const audit::AuditReport report =
       audit::Auditor(server.Keys()).Audit(server.Entries(), master.Topology());

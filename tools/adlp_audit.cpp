@@ -8,10 +8,10 @@
 //              [--trace <topic> <seq> <subscriber>]
 //
 // Loads a tamper-evident log file and a system manifest (see
-// examples/investigator for how a system exports them), verifies the hash
-// chain, audits every transmission, and prints either the human-readable
-// report or a JSON exhibit. With --trace, also prints the provenance
-// ancestry of one transmission instance.
+// examples/investigator for how a system exports them), verifies the
+// records against the file's Merkle root, audits every transmission, and
+// prints either the human-readable report or a JSON exhibit. With --trace,
+// also prints the provenance ancestry of one transmission instance.
 //
 // With --streaming, the evidence is replayed through the online
 // StreamingAuditor instead — entries feed in file order, an epoch is sealed
@@ -42,7 +42,7 @@
 // the exported-file path. An unreachable replica is missing evidence
 // (exit 2), not a silent skip.
 //
-// Exit status: 0 = chain verifies and no component implicated;
+// Exit status: 0 = Merkle root verifies and no component implicated;
 //              1 = unfaithful components identified;
 //              2 = evidence tampered or unreadable (including replica
 //                  store/seal findings short of equivocation);
@@ -161,9 +161,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!log.chain_verified) {
+  if (!log.verified) {
     std::fprintf(stderr,
-                 "adlp_audit: HASH CHAIN BROKEN — the log file is not what "
+                 "adlp_audit: MERKLE ROOT MISMATCH — the log file is not what "
                  "the trusted logger wrote (%zu records, %zu unparseable)\n",
                  log.records.size(), log.malformed_records);
     return 2;
@@ -172,12 +172,12 @@ int main(int argc, char** argv) {
   // Fleet evidence: the primary file plus every --replica file. Entries are
   // audited from the primary; the epoch roots of all members cross-check.
   std::vector<audit::ReplicaEvidence> fleet;
-  fleet.push_back({log_path, log.records, log.epoch_roots, false});
+  fleet.push_back({log_path, std::move(log.records), log.epoch_roots, false});
   for (const std::string& path : replica_paths) {
     try {
       proto::LoadedLog replica = proto::ReadLogFile(path);
-      if (!replica.chain_verified) {
-        std::fprintf(stderr, "adlp_audit: HASH CHAIN BROKEN in replica %s\n",
+      if (!replica.verified) {
+        std::fprintf(stderr, "adlp_audit: MERKLE ROOT MISMATCH in replica %s\n",
                      path.c_str());
         return 2;
       }
@@ -215,7 +215,7 @@ int main(int argc, char** argv) {
   bool any_roots = false;
   for (const auto& member : fleet) any_roots |= !member.roots.empty();
 
-  audit::LogDatabase db(log.entries, manifest.topology);
+  const audit::LogDatabase db(std::move(log.entries), manifest.topology);
   audit::AuditReport report;
   if (streaming) {
     // Online replay: findings are announced at the epoch that seals them,
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
     }
     audit::StreamingAuditor online(manifest.keys, manifest.topology, options);
     std::size_t since_seal = 0;
-    for (const auto& entry : log.entries) {
+    for (const auto& entry : db.RawEntries()) {
       online.OnEntry(entry);
       if (++since_seal == epoch_entries) {
         online.SealEpoch();
@@ -283,8 +283,8 @@ int main(int argc, char** argv) {
     options.include_verdicts = verdicts;
     std::printf("%s\n", audit::RenderReportJson(report, options).c_str());
   } else {
-    std::printf("evidence: %zu entries, hash chain verifies\n",
-                log.entries.size());
+    std::printf("evidence: %zu entries, Merkle root verifies\n",
+                db.RawEntries().size());
     std::printf("%s", report.Render().c_str());
     if (verdicts) {
       for (const auto& v : report.verdicts) {
