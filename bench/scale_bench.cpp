@@ -4,10 +4,12 @@
 // subscriber connections, ack-clocked with at most W messages in flight per
 // link (--window 1 is the paper's strict scheme: a new message is not sent
 // on a link whose previous ACK is outstanding). The server side runs either
-// the historical thread-per-connection model (one blocking send/receive
-// thread per subscriber) or the epoll reactor (transport/reactor.h); the
-// client side always runs on a private reactor so 4096 subscribers never
-// cost 4096 client threads and both server modes face identical peers.
+// the epoll reactor (transport/reactor.h) — the library's only TCP serving
+// model — or this file's own thread-per-connection reference server
+// (TcpListener::Accept plus one blocking send/receive thread per
+// subscriber), which the reactor is measured against. The client side
+// always runs on a private reactor so 4096 subscribers never cost 4096
+// client threads and both servers face identical peers.
 //
 // Each delivery carries an 8-byte monotonic send stamp; the subscriber
 // records publish→deliver latency on receipt. Reported per (subs, mode):
@@ -55,6 +57,10 @@
 using namespace adlp;
 
 namespace {
+
+/// Server side of one run: the reactor, or the thread-per-connection
+/// reference built here from blocking TcpChannels.
+enum class Server { kThreadPerConn, kReactor };
 
 struct RunResult {
   std::size_t subs = 0;
@@ -144,14 +150,13 @@ void RaiseFdLimit() {
   }
 }
 
-RunResult RunOne(transport::TransportMode mode, std::size_t subs,
-                 std::size_t rounds, std::size_t payload_bytes,
-                 std::size_t window, std::int64_t timeout_s) {
+RunResult RunOne(Server mode, std::size_t subs, std::size_t rounds,
+                 std::size_t payload_bytes, std::size_t window,
+                 std::int64_t timeout_s) {
   RunResult result;
   result.subs = subs;
   result.rounds = rounds;
-  result.mode =
-      mode == transport::TransportMode::kReactor ? "reactor" : "thread";
+  result.mode = mode == Server::kReactor ? "reactor" : "thread";
 
   // Private reactors per run: teardown between points is total, and the
   // server measurement never shares loops with client-side work.
@@ -159,7 +164,7 @@ RunResult RunOne(transport::TransportMode mode, std::size_t subs,
   client_opts.threads = 2;
   transport::Reactor client_reactor(client_opts);
   std::unique_ptr<transport::Reactor> server_reactor;
-  if (mode == transport::TransportMode::kReactor) {
+  if (mode == Server::kReactor) {
     transport::ReactorOptions server_opts;
     server_opts.threads = 2;
     server_reactor = std::make_unique<transport::Reactor>(server_opts);
@@ -174,7 +179,7 @@ RunResult RunOne(transport::TransportMode mode, std::size_t subs,
   std::vector<std::shared_ptr<transport::EpollChannel>> reactor_channels;
   std::unique_ptr<transport::ReactorAcceptor> acceptor;
   std::thread accept_thread;
-  if (mode == transport::TransportMode::kReactor) {
+  if (mode == Server::kReactor) {
     acceptor = std::make_unique<transport::ReactorAcceptor>(
         *server_reactor, listener,
         [&](std::shared_ptr<transport::EpollChannel> channel) {
@@ -230,9 +235,9 @@ RunResult RunOne(transport::TransportMode mode, std::size_t subs,
     std::unique_lock lock(accept_mu);
     const bool all = accept_cv.wait_for(
         lock, std::chrono::seconds(30), [&] {
-          return (mode == transport::TransportMode::kReactor
-                      ? reactor_channels.size()
-                      : thread_channels.size()) >= clients.size();
+          // Only the vector of this run's server fills.
+          return reactor_channels.size() + thread_channels.size() >=
+                 clients.size();
         });
     if (!all || clients.size() < subs) {
       std::fprintf(stderr, "scale_bench: only %zu/%zu links established\n",
@@ -245,7 +250,7 @@ RunResult RunOne(transport::TransportMode mode, std::size_t subs,
   std::atomic<std::size_t> links_done{0};
   std::vector<std::thread> server_threads;
   Timestamp start = 0;
-  if (mode == transport::TransportMode::kReactor) {
+  if (mode == Server::kReactor) {
     std::vector<std::shared_ptr<ServerLink>> server_links;
     server_links.reserve(reactor_channels.size());
     for (auto& channel : reactor_channels) {
@@ -409,9 +414,7 @@ int main(int argc, char** argv) {
         rounds_override > 0
             ? rounds_override
             : std::max<std::size_t>(16, 100'000 / std::max<std::size_t>(subs, 1));
-    for (const transport::TransportMode mode :
-         {transport::TransportMode::kThreadPerConn,
-          transport::TransportMode::kReactor}) {
+    for (const Server mode : {Server::kThreadPerConn, Server::kReactor}) {
       RunResult r = RunOne(mode, subs, rounds, payload_bytes, window,
                            timeout_s);
       std::printf("%8zu %8s %8zu %12llu %14.0f %10.1f %10.1f%s\n", r.subs,

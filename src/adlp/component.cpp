@@ -45,7 +45,6 @@ Component::Component(crypto::ComponentId id, pubsub::MasterApi& master,
   node_options.clock = options.clock;
   node_options.transport = options.transport;
   node_options.link_model = options.link_model;
-  node_options.mode = options.mode;
   node_options.ack_window = options.ack_window;
   node_options.max_queue = options.max_queue;
   node_ = std::make_unique<pubsub::Node>(identity_->id, master,

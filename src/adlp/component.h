@@ -46,10 +46,6 @@ struct ComponentOptions {
   const Clock* clock = &WallClock::Instance();
   pubsub::TransportKind transport = pubsub::TransportKind::kInProc;
   transport::LinkModel link_model;
-  /// TCP threading model (see NodeOptions::mode): kReactor multiplexes this
-  /// component's subscriber links and accept path on the shared epoll
-  /// reactor instead of dedicating a thread per connection.
-  transport::TransportMode mode = transport::TransportMode::kThreadPerConn;
   std::size_t ack_window = 1;
   std::size_t max_queue = std::numeric_limits<std::size_t>::max();
 
@@ -92,7 +88,8 @@ class Component {
   AdlpFactory* adlp_factory() { return adlp_factory_; }
 
   /// CPU time attributable to this component's middleware + logging work
-  /// (encode/sign, connection threads, logging thread).
+  /// (encode/sign, publisher links on link threads or reactor loops,
+  /// receive threads, logging thread).
   std::int64_t CpuTimeNs() const {
     return node_->CpuTimeNs() + (logging_ ? logging_->CpuTimeNs() : 0);
   }

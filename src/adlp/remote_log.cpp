@@ -153,67 +153,39 @@ std::uint64_t ParseLogAck(BytesView frame) {
 
 // --- LogServerService --------------------------------------------------------
 
-LogServerService::LogServerService(LogServer& server, std::uint16_t port,
-                                   transport::TransportMode mode)
-    : server_(server), listener_(port), mode_(mode) {
-  if (mode_ == transport::TransportMode::kReactor) {
-    acceptor_ = std::make_unique<transport::ReactorAcceptor>(
-        transport::Reactor::Global(), listener_,
-        [this](std::shared_ptr<transport::EpollChannel> channel) {
-          AdoptReactorChannel(std::move(channel));
-        });
-  } else {
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-  }
+LogServerService::LogServerService(LogServer& server, std::uint16_t port)
+    : server_(server), listener_(port) {
+  acceptor_ = std::make_unique<transport::ReactorAcceptor>(
+      transport::Reactor::Global(), listener_,
+      [this](std::shared_ptr<transport::EpollChannel> channel) {
+        Adopt(std::move(channel));
+      });
 }
 
 LogServerService::~LogServerService() { Shutdown(); }
 
-void LogServerService::AcceptLoop() {
-  while (auto channel = listener_.Accept()) {
+void LogServerService::Adopt(std::shared_ptr<transport::EpollChannel> channel) {
+  // Runs on a reactor loop thread (the acceptor's callback). Safe to touch
+  // `this`: Shutdown() closes the acceptor with its loop barrier before the
+  // service is torn down, so no callback outlives the service.
+  {
     MutexLock lock(mu_);
     if (shutting_down_.load()) {
       channel->Close();
       return;
     }
-    // Prune connections whose ingestion loop already exited so the tracked
-    // set stays bounded by live clients, not by lifetime accept count.
-    ReapFinishedLocked();
-    auto conn = std::make_unique<Connection>();
-    conn->channel = channel;
-    Connection* raw = conn.get();
-    conn->thread = std::thread([this, raw, channel] {
-      while (auto frame = channel->Receive()) {
-        IngestFrame(*frame, *channel);
-      }
-      raw->done.store(true, std::memory_order_release);
-    });
-    connections_.push_back(std::move(conn));
+    connections_.push_back(channel);
   }
-}
-
-void LogServerService::AdoptReactorChannel(
-    std::shared_ptr<transport::EpollChannel> channel) {
-  // Runs on a reactor loop thread (the acceptor's callback). Safe to touch
-  // `this`: Shutdown() closes the acceptor with its loop barrier before the
-  // service is torn down, so no callback outlives the service.
-  MutexLock lock(mu_);
-  if (shutting_down_.load()) {
-    channel->Close();
-    return;
-  }
-  ReapFinishedLocked();
-  auto conn = std::make_unique<Connection>();
-  conn->channel = channel;
-  conn->async = channel;
-  Connection* raw = conn.get();
-  transport::EpollChannel* raw_channel = channel.get();
+  // Unlocked: the close handler takes mu_.
+  transport::EpollChannel* raw = channel.get();
   channel->StartAsync(
-      [this, raw_channel](BytesView frame) {
-        IngestFrame(frame, *raw_channel);
-      },
-      [raw] { raw->done.store(true, std::memory_order_release); });
-  connections_.push_back(std::move(conn));
+      [this, raw](BytesView frame) { IngestFrame(frame, *raw); },
+      // The uploader left: drop the only owning reference, freeing the fd.
+      [this, raw] {
+        MutexLock lock(mu_);
+        std::erase_if(connections_,
+                      [raw](const auto& c) { return c.get() == raw; });
+      });
 }
 
 void LogServerService::IngestFrame(BytesView frame,
@@ -271,42 +243,26 @@ void LogServerService::IngestFrame(BytesView frame,
   }
 }
 
-void LogServerService::ReapFinishedLocked() {
-  std::erase_if(connections_, [](const std::unique_ptr<Connection>& c) {
-    if (!c->done.load(std::memory_order_acquire)) return false;
-    // analyzer: allow(blocking-under-lock): done is set as the thread's
-    // last store, so join() here reaps an already-exited thread — an
-    // instant syscall, not a wait.
-    if (c->thread.joinable()) c->thread.join();
-    return true;
-  });
-}
-
 std::size_t LogServerService::ActiveConnections() {
   MutexLock lock(mu_);
-  ReapFinishedLocked();
   return connections_.size();
 }
 
 void LogServerService::Shutdown() {
   if (shutting_down_.exchange(true)) return;
-  // Reactor: close the acceptor first — its Close() barrier guarantees no
-  // accept callback (which touches `this`) is still running afterwards.
-  if (acceptor_) acceptor_->Close();
+  // Close the acceptor first: its Close() barrier guarantees no accept
+  // callback (which touches `this`) is still running afterwards.
+  acceptor_->Close();
   listener_.Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::unique_ptr<Connection>> connections;
+  std::vector<std::shared_ptr<transport::EpollChannel>> connections;
   {
     MutexLock lock(mu_);
     connections.swap(connections_);
   }
-  for (auto& c : connections) c->channel->Close();
-  for (auto& c : connections) {
-    if (c->thread.joinable()) c->thread.join();
-    // Frame handlers capture `this`; wait for the channel's loop-side
-    // teardown so none can run once Shutdown returns.
-    if (c->async) c->async->WaitClosed(2000);
-  }
+  for (auto& c : connections) c->Close();
+  // Frame handlers capture `this`; wait for each channel's loop-side
+  // teardown so none can run once Shutdown returns.
+  for (auto& c : connections) c->WaitClosed(2000);
 }
 
 }  // namespace adlp::proto

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "adlp/log_server.h"
@@ -65,16 +64,15 @@ Bytes SerializeLogAck(std::uint64_t seq);
 /// Throws wire::WireError unless `frame` is an ack.
 std::uint64_t ParseLogAck(BytesView frame);
 
-/// Accept loop feeding `server`. Under kThreadPerConn: one ingestion thread
-/// per connection. Under kReactor: connections are accepted and drained on
-/// the shared epoll reactor, so a logger serving thousands of uploaders
-/// costs loop wakeups instead of threads. Upload semantics are identical.
+/// Network front-end feeding `server`: connections are accepted and drained
+/// on the shared epoll reactor, so a logger serving thousands of uploaders
+/// costs loop wakeups instead of threads. Ingestion runs on the loop thread,
+/// so a `kBlock` tap on `server` that is full holds that loop until its
+/// consumer catches up.
 class LogServerService {
  public:
   /// Binds 127.0.0.1:`port` (0 = ephemeral).
-  explicit LogServerService(
-      LogServer& server, std::uint16_t port = 0,
-      transport::TransportMode mode = transport::TransportMode::kThreadPerConn);
+  explicit LogServerService(LogServer& server, std::uint16_t port = 0);
   ~LogServerService();
 
   LogServerService(const LogServerService&) = delete;
@@ -82,40 +80,29 @@ class LogServerService {
 
   std::uint16_t Port() const { return listener_.Port(); }
 
-  /// Stops accepting and joins all ingestion threads.
+  /// Stops accepting and waits until no ingestion handler can run.
   void Shutdown();
 
-  /// Number of tracked connections after pruning finished ones. A long-lived
-  /// service with churning clients stays bounded by its *live* connection
-  /// count, not its lifetime accept count.
-  std::size_t ActiveConnections();
+  /// Number of live connections. A connection is dropped when it closes, so
+  /// a long-lived service with churning clients stays bounded by its live
+  /// connection count, not its lifetime accept count.
+  std::size_t ActiveConnections() EXCLUDES(mu_);
 
  private:
-  struct Connection {
-    transport::ChannelPtr channel;
-    std::thread thread;                            // kThreadPerConn only
-    std::shared_ptr<transport::EpollChannel> async;  // kReactor only
-    std::atomic<bool> done{false};
-  };
-
-  void AcceptLoop();
   /// Ingests one upload frame: parse, dedup acked-mode retransmissions via
   /// the server's per-sink watermark, apply, and acknowledge tagged frames
   /// on `channel`. Malformed frames are dropped, the connection kept.
   void IngestFrame(BytesView frame, transport::Channel& channel);
-  /// Registers one reactor-accepted channel and starts its async ingestion.
-  void AdoptReactorChannel(std::shared_ptr<transport::EpollChannel> channel);
-  /// Joins and erases connections whose ingestion loop has exited.
-  void ReapFinishedLocked() REQUIRES(mu_);
+  /// Registers one accepted channel and starts its ingestion on its loop.
+  void Adopt(std::shared_ptr<transport::EpollChannel> channel) EXCLUDES(mu_);
 
   LogServer& server_;
   transport::TcpListener listener_;
-  const transport::TransportMode mode_;
   std::atomic<bool> shutting_down_{false};
-  std::thread accept_thread_;                           // kThreadPerConn
-  std::unique_ptr<transport::ReactorAcceptor> acceptor_;  // kReactor
+  std::unique_ptr<transport::ReactorAcceptor> acceptor_;
   Mutex mu_;
-  std::vector<std::unique_ptr<Connection>> connections_ GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<transport::EpollChannel>> connections_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace adlp::proto

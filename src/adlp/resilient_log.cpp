@@ -4,24 +4,9 @@
 
 #include "adlp/remote_log.h"
 #include "obs/instrument.h"
-#include "transport/reactor.h"
 #include "wire/wire.h"
 
 namespace adlp::proto {
-
-struct ResilientLogSink::BackoffWait {
-  Mutex mu;
-  CondVar cv;
-  bool fired GUARDED_BY(mu) = false;
-
-  void Fire() EXCLUDES(mu) {
-    {
-      MutexLock lock(mu);
-      fired = true;
-    }
-    cv.NotifyAll();
-  }
-};
 
 ResilientLogSink::ResilientLogSink(std::uint16_t port, Options options)
     : ResilientLogSink(
@@ -38,16 +23,12 @@ ResilientLogSink::ResilientLogSink(Connector connector, Options options)
 }
 
 ResilientLogSink::~ResilientLogSink() {
-  std::shared_ptr<BackoffWait> backoff;
   {
     MutexLock lock(mu_);
     stop_ = true;
     // Unblocks a flusher stuck in send() on a full socket buffer.
     if (channel_) channel_->Close();
-    backoff = backoff_wait_;
   }
-  // Unblocks a flusher parked on a reactor-timed backoff interval.
-  if (backoff) backoff->Fire();
   cv_.NotifyAll();
   drain_cv_.NotifyAll();
   if (flusher_.joinable()) flusher_.join();
@@ -291,30 +272,12 @@ void ResilientLogSink::FlusherLoop() {
         const std::int64_t delay_ms =
             options_.backoff.DelayMs(failures, backoff_rng_);
         if (failures < 63) ++failures;
-        if (options_.mode == transport::TransportMode::kReactor) {
-          // The wheel, not a timed cv wait, paces the backoff: same
-          // BackoffPolicy delays/jitter, but the interval is a scheduled
-          // timer the destructor can fire early for prompt shutdown.
-          auto wait = std::make_shared<BackoffWait>();
-          backoff_wait_ = wait;
-          lock.Unlock();
-          auto& reactor = transport::Reactor::Global();
-          reactor.RunAfter(reactor.AssignLoop(), delay_ms,
-                           [wait] { wait->Fire(); });
-          {
-            MutexLock wait_lock(wait->mu);
-            while (!wait->fired) wait->cv.Wait(wait_lock);
-          }
-          lock.Lock();
-          backoff_wait_.reset();
-        } else {
-          // Timed park, cut short by stop_: wait out the backoff interval
-          // unless the destructor wakes us first.
-          const auto deadline = std::chrono::steady_clock::now() +
-                                std::chrono::milliseconds(delay_ms);
-          while (!stop_ &&
-                 cv_.WaitUntil(lock, deadline) != std::cv_status::timeout) {
-          }
+        // Timed park, cut short by stop_: wait out the backoff interval
+        // unless the destructor wakes us first.
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::milliseconds(delay_ms);
+        while (!stop_ &&
+               cv_.WaitUntil(lock, deadline) != std::cv_status::timeout) {
         }
         continue;
       }

@@ -8,9 +8,11 @@
 //   * every upload frame (key registration or entry) enters a bounded
 //     in-memory spool; Append/RegisterKey only serialize and enqueue, so the
 //     calling component never blocks on the network;
-//   * a background flusher drains the spool onto the connection; a failed
+//   * a background flusher drains the spool onto the connection (a blocking
+//     TcpChannel client; the service side runs on the reactor); a failed
 //     send re-queues the frame at the front (order preserved) and triggers
-//     reconnection with exponential backoff + deterministic jitter;
+//     reconnection with exponential backoff + deterministic jitter, paced
+//     by a timed wait the destructor can cut short;
 //   * on every reconnect the sink first re-registers all known public keys
 //     and then replays the spool (the first connection gets the keys from
 //     the spool in their original order), so a logger restarted with empty
@@ -100,10 +102,6 @@ struct ResilientLogSinkOptions {
   std::uint64_t backoff_seed = 0x5eed'1095'1e57ull;
   /// Per-attempt TCP connect behaviour (port-based constructor only).
   transport::TcpConnectOptions connect{1, 500, 50, 500};
-  /// kReactor drives the reconnect backoff delays from the reactor's timer
-  /// wheel instead of a timed condition-variable wait. The BackoffPolicy
-  /// (delays, jitter stream) is identical either way.
-  transport::TransportMode mode = transport::TransportMode::kThreadPerConn;
   /// Non-empty switches the sink to acked mode: frames are tagged
   /// (sink_id, seq), retained until acknowledged, and retransmitted on
   /// reconnect. Replicas of one uploader must see the same sink_id.
@@ -154,12 +152,6 @@ class ResilientLogSink final : public LogSink {
   bool Drain(std::chrono::milliseconds timeout) EXCLUDES(mu_);
 
  private:
-  /// One reactor-timed backoff interval: the flusher parks on the token's
-  /// cv until the timer wheel fires it (or the destructor does, so shutdown
-  /// never waits out a long backoff). Shared-owned so a timer firing after
-  /// the sink died touches only the token.
-  struct BackoffWait;
-
   /// One spooled upload. `seq` is 0 in legacy mode.
   struct SpooledFrame {
     std::uint64_t seq = 0;
@@ -202,8 +194,6 @@ class ResilientLogSink final : public LogSink {
   std::uint64_t last_seq_ GUARDED_BY(mu_) = 0;
   std::uint64_t acked_seq_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
-  // Live only while backing off.
-  std::shared_ptr<BackoffWait> backoff_wait_ GUARDED_BY(mu_);
   std::uint64_t connects_ GUARDED_BY(mu_) = 0;
   SinkStats stats_ GUARDED_BY(mu_);
   Rng backoff_rng_ GUARDED_BY(mu_);

@@ -47,10 +47,18 @@ struct InFlightQueue {
   }
 };
 
-/// Reactor-mode publisher link: the same conversation the thread-mode
-/// RunLoop holds (send up to ack_window, gate on ACKs, drain on close), as
-/// an event-driven state machine on the channel's loop thread. Shared-owned
-/// so a pump task that fires after Link teardown finds live state.
+/// Closes a link's publication queue and frees what it still holds: a
+/// finished link takes no further publication.
+void Retire(ConcurrentQueue<EncodedPublicationPtr>& queue) {
+  queue.Close();
+  while (queue.TryPop()) {
+  }
+}
+
+/// TCP publisher link: the conversation the in-proc link thread holds (send
+/// up to ack_window, gate on ACKs, drain on close), as an event-driven state
+/// machine on the EpollChannel's loop thread. Shared-owned so a pump task
+/// that fires after Link teardown finds live state.
 struct ReactorLinkState
     : public std::enable_shared_from_this<ReactorLinkState> {
   std::shared_ptr<transport::EpollChannel> channel;
@@ -60,16 +68,18 @@ struct ReactorLinkState
   std::size_t max_queue = std::numeric_limits<std::size_t>::max();
   transport::Reactor* reactor = nullptr;
   std::size_t loop = 0;
+  // The owning node's CPU account: loop work is billed there, as a link
+  // thread's work is.
+  std::atomic<Timestamp>* cpu_acc = nullptr;
 
   InFlightQueue in_flight;  // loop thread only
   std::atomic<bool> pump_armed{false};
-  std::atomic<bool> done{false};
+  std::atomic<bool> done{false};  // written on the loop thread only
 
   /// Any-thread: enqueue a publication (false = per-link queue full).
   bool Offer(EncodedPublicationPtr pub) {
     if (queue.Size() >= max_queue) return false;
-    queue.Push(std::move(pub));
-    KickPump();
+    if (queue.Push(std::move(pub))) KickPump();
     return true;
   }
 
@@ -79,16 +89,42 @@ struct ReactorLinkState
     auto self = shared_from_this();
     reactor->Post(loop, [self] {
       self->pump_armed.store(false, std::memory_order_release);
-      self->Pump();
+      self->Charged([&] { self->Pump(); });
     });
   }
 
-  /// Loop thread: send while the ACK window has room; detect completion.
-  void Pump() {
+  /// Loop thread: the frame handler. ACKs arrive in order on the FIFO
+  /// channel, so the front of the in-flight queue is the one being acked.
+  void OnFrame(BytesView frame) {
+    Charged([&] {
+      if (in_flight.items.empty()) return;  // unexpected: drop
+      proto->OnAck(*in_flight.items.front().pub, frame);
+      in_flight.PopAcked();
+      Pump();
+    });
+  }
+
+  /// Loop thread: the connection ended or the link drained.
+  void Finish() {
+    done.store(true, std::memory_order_release);
+    Retire(queue);
+  }
+
+ private:
+  /// Runs one loop entry point, charging its CPU to the node. A finished
+  /// link does nothing: its node may already be gone.
+  template <typename Work>
+  void Charged(Work&& work) {
     if (done.load(std::memory_order_acquire)) return;
+    ThreadCpuTracker cpu(cpu_acc);
+    work();
+  }
+
+  /// Send while the ACK window has room; detect completion.
+  void Pump() {
     while (true) {
-      // ACK gating, as in the thread-mode loop: with window W, at most W
-      // outstanding messages (the paper's scheme is W = 1).
+      // ACK gating: with window W, at most W outstanding messages (the
+      // paper's scheme is W = 1).
       if (proto->ExpectsAck() && in_flight.items.size() >= ack_window) break;
       auto pub = queue.TryPop();
       if (!pub) break;
@@ -103,25 +139,13 @@ struct ReactorLinkState
       Finish();
     }
   }
-
-  /// Loop thread: ACKs arrive in order on the FIFO channel, so the front
-  /// of the in-flight queue is always the one being acked.
-  void HandleFrame(BytesView frame) {
-    if (done.load(std::memory_order_acquire)) return;
-    if (in_flight.items.empty()) return;  // unexpected: drop
-    proto->OnAck(*in_flight.items.front().pub, frame);
-    in_flight.PopAcked();
-    Pump();
-  }
-
-  void Finish() { done.store(true, std::memory_order_release); }
 };
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Publisher link: one connection per subscriber — a dedicated thread in
-// kThreadPerConn mode, a reactor state machine in kReactor mode.
+// Publisher link: one connection per subscriber — a dedicated thread for an
+// in-proc channel, a reactor state machine for a TCP (EpollChannel) one.
 
 struct Publisher::Link {
   crypto::ComponentId subscriber;
@@ -134,7 +158,7 @@ struct Publisher::Link {
   std::atomic<bool> done{false};
   std::atomic<Timestamp>* cpu_acc = nullptr;
   std::thread thread;
-  std::shared_ptr<ReactorLinkState> reactor_state;  // kReactor only
+  std::shared_ptr<ReactorLinkState> reactor_state;  // TCP links only
 
   /// Enqueues one publication; false when the per-link queue is full.
   bool Offer(const EncodedPublicationPtr& pub) {
@@ -144,9 +168,19 @@ struct Publisher::Link {
     return true;
   }
 
+  /// False once the subscriber left or the link gave up on the connection.
+  bool Live() const {
+    const std::atomic<bool>& finished =
+        reactor_state ? reactor_state->done : done;
+    return !finished.load(std::memory_order_acquire) && channel->IsOpen();
+  }
+
   void Run() {
-    ThreadCpuTracker cpu(cpu_acc);
-    RunLoop(cpu);
+    {
+      ThreadCpuTracker cpu(cpu_acc);
+      RunLoop(cpu);
+    }
+    Retire(queue);
     done.store(true, std::memory_order_release);
   }
 
@@ -244,28 +278,46 @@ std::uint64_t Publisher::Publish(Bytes payload) {
   obs::metric::PublishTotal().Add(1);
   obs::TraceLog::Global().Record(obs::TraceKind::kPublish, topic_, seq);
 
-  MutexLock lock(links_mu_);
-  for (auto& link : links_) {
-    if (!link->Offer(encoded)) {
-      link->dropped.fetch_add(1, std::memory_order_relaxed);
-      obs::metric::PublishQueueDropTotal().Add(1);
+  // A link whose subscriber left is retired, not fed: it would otherwise
+  // hold every later publication until Shutdown.
+  std::vector<std::unique_ptr<Link>> finished;
+  {
+    MutexLock lock(links_mu_);
+    for (auto& link : links_) {
+      if (!link->Live()) {
+        retired_dropped_ += link->dropped.load(std::memory_order_relaxed);
+        finished.push_back(std::move(link));
+      } else if (!link->Offer(encoded)) {
+        link->dropped.fetch_add(1, std::memory_order_relaxed);
+        obs::metric::PublishQueueDropTotal().Add(1);
+      }
     }
+    if (!finished.empty()) std::erase(links_, nullptr);
   }
+  // Unlocked: retiring waits for the link's thread or loop teardown.
+  publish_lock.Unlock();
+  for (auto& link : finished) link->Shutdown();
   return seq;
+}
+
+std::size_t Publisher::LiveLinksLocked() const {
+  std::size_t live = 0;
+  for (const auto& link : links_) live += link->Live() ? 1 : 0;
+  return live;
 }
 
 std::size_t Publisher::SubscriberCount() const {
   MutexLock lock(links_mu_);
-  return links_.size();
+  return LiveLinksLocked();
 }
 
 bool Publisher::WaitForSubscribers(std::size_t count,
                                    std::chrono::milliseconds timeout) const {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   MutexLock lock(links_mu_);
-  while (links_.size() < count) {
+  while (LiveLinksLocked() < count) {
     if (links_cv_.WaitUntil(lock, deadline) == std::cv_status::timeout) {
-      return links_.size() >= count;
+      return LiveLinksLocked() >= count;
     }
   }
   return true;
@@ -273,7 +325,7 @@ bool Publisher::WaitForSubscribers(std::size_t count,
 
 std::uint64_t Publisher::DroppedCount() const {
   MutexLock lock(links_mu_);
-  std::uint64_t total = 0;
+  std::uint64_t total = retired_dropped_;
   for (const auto& link : links_) {
     total += link->dropped.load(std::memory_order_relaxed);
   }
@@ -287,8 +339,7 @@ void Publisher::AddLink(const crypto::ComponentId& subscriber,
 
   auto epoll_channel =
       std::dynamic_pointer_cast<transport::EpollChannel>(channel);
-  if (node_->Options().mode == transport::TransportMode::kReactor &&
-      epoll_channel) {
+  if (epoll_channel) {
     auto state = std::make_shared<ReactorLinkState>();
     state->channel = epoll_channel;
     state->proto = node_->protocol().MakePublisherLink(topic_, subscriber);
@@ -296,15 +347,17 @@ void Publisher::AddLink(const crypto::ComponentId& subscriber,
     state->max_queue = node_->Options().max_queue;
     state->reactor = &transport::Reactor::Global();
     state->loop = epoll_channel->LoopIndex();
+    state->cpu_acc = &node_->cpu_ns_;
     link->channel = std::move(channel);
     link->reactor_state = state;
-    // Often called from inside the handshake frame handler, so this swap
-    // executes synchronously on the loop thread and later frames (early
-    // ACKs included) flow straight to the link.
+    // Called from inside the handshake frame handler, so this swap executes
+    // synchronously on the loop thread and later frames (early ACKs
+    // included) flow straight to the link.
     epoll_channel->StartAsync(
-        [state](BytesView frame) { state->HandleFrame(frame); },
+        [state](BytesView frame) { state->OnFrame(frame); },
         [state] { state->Finish(); });
   } else {
+    // In-proc channels have no fd for the reactor to watch: one thread each.
     link->channel = std::move(channel);
     link->proto = node_->protocol().MakePublisherLink(topic_, subscriber);
     link->ack_window = node_->Options().ack_window;
@@ -340,15 +393,14 @@ void Publisher::Shutdown() {
 }
 
 // ---------------------------------------------------------------------------
-// Subscription: one connection per publisher link — a receive thread, or an
-// async frame handler when the channel is reactor-driven.
+// Subscription: one connection per publisher link, read by its own receive
+// thread (the channel is an in-proc endpoint or a blocking TcpChannel).
 
 struct Node::Subscription {
   std::string topic;
   Node::Callback callback;
   std::unique_ptr<SubscriberLinkProtocol> proto;
   transport::ChannelPtr channel;
-  std::shared_ptr<transport::EpollChannel> async_channel;  // kReactor only
   std::atomic<Timestamp>* cpu_acc = nullptr;
   std::thread thread;
 
@@ -379,33 +431,20 @@ struct Node::Subscription {
     }
   }
 
-  void StartAsync() {
-    async_channel->StartAsync(
-        [this](BytesView frame) {
-          if (!HandleBytes(frame)) channel->Close();
-        },
-        [] {});
-  }
-
   void Shutdown() {
     channel->Close();
     if (thread.joinable()) thread.join();
-    // Async mode: rendezvous with the loop's teardown, after which the
-    // frame handler (which captures `this`) can never run again.
-    if (async_channel) async_channel->WaitClosed(2000);
   }
 };
 
 // ---------------------------------------------------------------------------
-// TCP endpoint: the node's listener. kThreadPerConn accepts on a dedicated
-// thread and reads the handshake blockingly; kReactor accepts on the loop
-// and parses the handshake from the connection's first frame.
+// TCP endpoint: the node's listener. Accepts on the reactor and parses the
+// handshake from each connection's first frame.
 
 struct Node::TcpEndpoint {
   transport::TcpListener listener;
   Node* node;
-  std::thread accept_thread;                              // kThreadPerConn
-  std::unique_ptr<transport::ReactorAcceptor> acceptor;   // kReactor
+  std::unique_ptr<transport::ReactorAcceptor> acceptor;
   std::atomic<bool> shutting_down{false};
   // Connections accepted but not yet handshaken; owned here so Shutdown
   // can close them (and so the handshake handler can capture weakly).
@@ -414,31 +453,11 @@ struct Node::TcpEndpoint {
       GUARDED_BY(pending_mu);
 
   explicit TcpEndpoint(Node* owner) : listener(0), node(owner) {
-    if (owner->Options().mode == transport::TransportMode::kReactor) {
-      acceptor = std::make_unique<transport::ReactorAcceptor>(
-          transport::Reactor::Global(), listener,
-          [this](std::shared_ptr<transport::EpollChannel> channel) {
-            OnAccept(std::move(channel));
-          });
-    } else {
-      accept_thread = std::thread([this] { Run(); });
-    }
-  }
-
-  void Run() {
-    while (auto channel = listener.Accept()) {
-      auto handshake = channel->Receive();
-      if (!handshake) continue;
-      std::string topic;
-      crypto::ComponentId subscriber;
-      try {
-        ParseHandshake(*handshake, topic, subscriber);
-      } catch (const wire::WireError&) {
-        channel->Close();
-        continue;
-      }
-      node->AttachSubscriberLink(topic, subscriber, std::move(channel));
-    }
+    acceptor = std::make_unique<transport::ReactorAcceptor>(
+        transport::Reactor::Global(), listener,
+        [this](std::shared_ptr<transport::EpollChannel> channel) {
+          OnAccept(std::move(channel));
+        });
   }
 
   // Loop thread. The first frame is the handshake; AttachSubscriberLink
@@ -489,7 +508,7 @@ struct Node::TcpEndpoint {
     shutting_down.store(true, std::memory_order_release);
     // Acceptor first: after its Close() returns no accept callback runs,
     // so `this` stays valid for the whole teardown.
-    if (acceptor) acceptor->Close();
+    acceptor->Close();
     listener.Close();
     std::vector<std::shared_ptr<transport::EpollChannel>> orphans;
     {
@@ -500,7 +519,6 @@ struct Node::TcpEndpoint {
       channel->Close();
       channel->WaitClosed(2000);
     }
-    if (accept_thread.joinable()) accept_thread.join();
   }
 };
 
@@ -591,12 +609,6 @@ void Node::Subscribe(const std::string& topic, Callback callback) {
         sub->proto = options_.protocol->MakeSubscriberLink(topic, publisher);
         sub->channel = std::move(channel);
         sub->cpu_acc = &cpu_ns_;
-        if (options_.mode == transport::TransportMode::kReactor) {
-          // Reactor-driven channels need no receive thread; connectors that
-          // hand us a blocking channel fall back to one below.
-          sub->async_channel =
-              std::dynamic_pointer_cast<transport::EpollChannel>(sub->channel);
-        }
         Subscription* raw = sub.get();
         {
           MutexLock lock(mu_);
@@ -604,15 +616,11 @@ void Node::Subscribe(const std::string& topic, Callback callback) {
             sub->channel->Close();
             return;
           }
-          if (raw->async_channel) {
-            raw->StartAsync();
-          } else {
-            // The thread member must be assigned before the subscription is
-            // visible in subscriptions_: Shutdown() swaps the list under mu_
-            // and then joins, so publishing first would let it race with (or
-            // miss) this assignment.
-            raw->thread = std::thread([raw] { raw->Run(); });
-          }
+          // The thread member must be assigned before the subscription is
+          // visible in subscriptions_: Shutdown() swaps the list under mu_
+          // and then joins, so publishing first would let it race with (or
+          // miss) this assignment.
+          raw->thread = std::thread([raw] { raw->Run(); });
           subscriptions_.push_back(std::move(sub));
         }
       });

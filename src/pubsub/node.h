@@ -1,6 +1,9 @@
 // Node: a software component `c_i`. Owns its publishers, subscriptions, and
-// the per-connection link threads (one connection thread per subscriber, as
-// in ROS: "ROS runs a connection thread per subscriber, not per topic").
+// one link per subscriber connection (as in ROS: "ROS runs a connection
+// thread per subscriber, not per topic"). An in-proc link runs on its own
+// thread; a TCP link is a state machine on the shared epoll reactor, which
+// also accepts the node's inbound connections. Subscriptions read on one
+// receive thread per publisher link.
 #pragma once
 
 #include <atomic>
@@ -42,14 +45,6 @@ struct NodeOptions {
   TransportKind transport = TransportKind::kInProc;
   transport::LinkModel link_model;  // in-proc only
 
-  /// Threading model for TCP connection endpoints. kReactor multiplexes
-  /// publisher links (and the accept path) on the shared epoll reactor, so
-  /// fan-out costs loop wakeups instead of threads. In-proc channels have
-  /// no fd and always use link threads. Protocol behaviour and audit
-  /// verdicts are identical in both modes; per-node CpuTimeNs() covers only
-  /// encode work under kReactor (link work runs on shared loop threads).
-  transport::TransportMode mode = transport::TransportMode::kThreadPerConn;
-
   /// Max unacknowledged messages per link before the sender blocks
   /// (protocols with ACKs only). 1 = the paper's scheme: a new message is
   /// not sent to a subscriber whose previous ACK is outstanding.
@@ -76,9 +71,11 @@ class Publisher {
   std::uint64_t LastSeq() const {
     return seq_.load(std::memory_order_relaxed);
   }
+  /// Subscriber links still connected. A link stops counting as soon as its
+  /// subscriber leaves, and the next Publish retires it.
   std::size_t SubscriberCount() const EXCLUDES(links_mu_);
 
-  /// Blocks until at least `count` subscriber links are attached (TCP
+  /// Blocks until at least `count` live subscriber links are attached (TCP
   /// connections attach asynchronously) or `timeout` elapses. Returns true
   /// when the count was reached.
   bool WaitForSubscribers(std::size_t count,
@@ -86,7 +83,8 @@ class Publisher {
                               std::chrono::milliseconds(5000)) const
       EXCLUDES(links_mu_);
 
-  /// Total messages dropped due to full per-link queues.
+  /// Total messages dropped due to full per-link queues, retired links
+  /// included.
   std::uint64_t DroppedCount() const EXCLUDES(links_mu_);
 
  private:
@@ -98,6 +96,7 @@ class Publisher {
   void AddLink(const crypto::ComponentId& subscriber,
                transport::ChannelPtr channel) EXCLUDES(links_mu_);
   void Shutdown() EXCLUDES(links_mu_);
+  std::size_t LiveLinksLocked() const REQUIRES(links_mu_);
 
   Node* node_;
   std::string topic_;
@@ -109,6 +108,8 @@ class Publisher {
   mutable Mutex links_mu_;
   mutable CondVar links_cv_;
   std::vector<std::unique_ptr<Link>> links_ GUARDED_BY(links_mu_);
+  // Queue-full drops of links already retired.
+  std::uint64_t retired_dropped_ GUARDED_BY(links_mu_) = 0;
   // Set by Shutdown(); a late AddLink (TCP handshakes land asynchronously)
   // must tear its link down instead of inserting it into a list nobody
   // will ever drain again.
@@ -144,8 +145,9 @@ class Node {
   ProtocolFactory& protocol() const { return *options_.protocol; }
 
   /// CPU time consumed by this node's middleware work: per-publication
-  /// encoding (hash/sign), connection threads, and message handling. Used
-  /// by the publisher-CPU-utilization experiments (Fig. 14).
+  /// encoding (hash/sign), publisher links (ACK handling and sends, on the
+  /// link thread or the reactor loop), and message handling on receive
+  /// threads. Used by the publisher-CPU-utilization experiments (Fig. 14).
   std::int64_t CpuTimeNs() const {
     return cpu_ns_.load(std::memory_order_relaxed);
   }

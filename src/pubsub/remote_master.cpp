@@ -121,55 +121,37 @@ Frame DecodeFrame(BytesView data) {
 // ---------------------------------------------------------------------------
 // MasterService
 
-MasterService::MasterService(std::uint16_t port, transport::TransportMode mode)
-    : listener_(port), mode_(mode) {
-  if (mode_ == transport::TransportMode::kReactor) {
-    acceptor_ = std::make_unique<transport::ReactorAcceptor>(
-        transport::Reactor::Global(), listener_,
-        [this](std::shared_ptr<transport::EpollChannel> channel) {
-          AdoptReactorChannel(std::move(channel));
-        });
-  } else {
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
-  }
+MasterService::MasterService(std::uint16_t port) : listener_(port) {
+  acceptor_ = std::make_unique<transport::ReactorAcceptor>(
+      transport::Reactor::Global(), listener_,
+      [this](std::shared_ptr<transport::EpollChannel> channel) {
+        Adopt(std::move(channel));
+      });
 }
 
 MasterService::~MasterService() { Shutdown(); }
 
-void MasterService::AcceptLoop() {
-  while (auto channel = listener_.Accept()) {
+void MasterService::Adopt(std::shared_ptr<transport::EpollChannel> channel) {
+  // Runs on a reactor loop thread. Safe to touch `this`: Shutdown() closes
+  // the acceptor with its loop barrier before tearing the service down.
+  {
     MutexLock lock(mu_);
     if (shutting_down_.load()) {
       channel->Close();
       return;
     }
     connections_.push_back(channel);
-    serve_threads_.emplace_back(
-        [this, channel] { Serve(channel); });
   }
-}
-
-void MasterService::Serve(transport::ChannelPtr channel) {
-  while (auto frame = channel->Receive()) {
-    ServeFrame(*frame, channel);
-  }
-}
-
-void MasterService::AdoptReactorChannel(
-    std::shared_ptr<transport::EpollChannel> channel) {
-  // Runs on a reactor loop thread. Safe to touch `this`: Shutdown() closes
-  // the acceptor with its loop barrier before tearing the service down.
-  MutexLock lock(mu_);
-  if (shutting_down_.load()) {
-    channel->Close();
-    return;
-  }
-  connections_.push_back(channel);
-  async_connections_.push_back(channel);
+  // Unlocked: the close handler takes mu_.
   transport::ChannelPtr as_channel = channel;
   channel->StartAsync(
       [this, as_channel](BytesView frame) { ServeFrame(frame, as_channel); },
-      /*on_closed=*/nullptr);
+      // The node left: drop the last owning reference, freeing the fd.
+      [this, raw = channel.get()] {
+        MutexLock lock(mu_);
+        std::erase_if(connections_,
+                      [raw](const auto& c) { return c.get() == raw; });
+      });
 }
 
 void MasterService::ServeFrame(BytesView frame,
@@ -192,8 +174,7 @@ Bytes MasterService::HandleRequest(BytesView frame_bytes,
 
   switch (request.type) {
     case kReqAdvertise: {
-      std::vector<std::pair<transport::ChannelPtr, crypto::ComponentId>>
-          waiting;
+      std::vector<Waiter> waiting;
       Frame response;
       {
         MutexLock lock(mu_);
@@ -222,7 +203,7 @@ Bytes MasterService::HandleRequest(BytesView frame_bytes,
       info.port = request.port;
       const Bytes info_bytes = EncodeFrame(info);
       for (const auto& [conn, sub] : waiting) {
-        (void)conn->Send(info_bytes);
+        if (auto live = conn.lock()) (void)live->Send(info_bytes);
       }
       response.type = kRspAck;
       return EncodeFrame(response);
@@ -279,27 +260,19 @@ std::map<std::string, TopicInfo> MasterService::Topology() const {
 
 void MasterService::Shutdown() {
   if (shutting_down_.exchange(true)) return;
-  // Reactor: close the acceptor first — its Close() barrier guarantees no
-  // accept callback (which touches `this`) is still running afterwards.
-  if (acceptor_) acceptor_->Close();
+  // Close the acceptor first: its Close() barrier guarantees no accept
+  // callback (which touches `this`) is still running afterwards.
+  acceptor_->Close();
   listener_.Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<transport::ChannelPtr> connections;
-  std::vector<std::shared_ptr<transport::EpollChannel>> async_connections;
-  std::vector<std::thread> threads;
+  std::vector<std::shared_ptr<transport::EpollChannel>> connections;
   {
     MutexLock lock(mu_);
     connections.swap(connections_);
-    async_connections.swap(async_connections_);
-    threads.swap(serve_threads_);
   }
   for (auto& c : connections) c->Close();
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
   // Frame handlers capture `this`; wait for each channel's loop-side
   // teardown so none can run once Shutdown returns.
-  for (auto& c : async_connections) c->WaitClosed(2000);
+  for (auto& c : connections) c->WaitClosed(2000);
 }
 
 // ---------------------------------------------------------------------------

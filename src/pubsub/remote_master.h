@@ -34,16 +34,13 @@
 namespace adlp::pubsub {
 
 /// The service side: owns the topic registry for a fleet of node processes.
-/// Under kThreadPerConn: one serve thread per node connection. Under
-/// kReactor: requests are parsed and answered on the shared epoll reactor,
-/// so a master serving a large fleet costs loop wakeups instead of threads.
-/// The wire protocol and registry semantics are identical in both modes.
+/// Requests are parsed and answered on the shared epoll reactor, so a master
+/// serving a large fleet costs loop wakeups instead of threads. A node's
+/// connection is dropped when it closes, so node churn holds no fds.
 class MasterService {
  public:
   /// Binds 127.0.0.1:`port` (0 = ephemeral).
-  explicit MasterService(
-      std::uint16_t port = 0,
-      transport::TransportMode mode = transport::TransportMode::kThreadPerConn);
+  explicit MasterService(std::uint16_t port = 0);
   ~MasterService();
 
   MasterService(const MasterService&) = delete;
@@ -57,36 +54,34 @@ class MasterService {
   void Shutdown();
 
  private:
+  /// A subscriber parked until its topic's publisher advertises. The
+  /// connection is held weakly: a subscriber that left holds no fd here.
+  struct Waiter {
+    std::weak_ptr<transport::Channel> channel;
+    crypto::ComponentId subscriber;
+  };
+
   struct TopicState {
     crypto::ComponentId publisher;
     std::uint16_t port = 0;
     bool advertised = false;
     std::vector<crypto::ComponentId> subscribers;
-    // Connections waiting for this topic's publisher, with the subscriber id
-    // that asked.
-    std::vector<std::pair<transport::ChannelPtr, crypto::ComponentId>> waiting;
+    std::vector<Waiter> waiting;
   };
 
-  void AcceptLoop();
-  void Serve(transport::ChannelPtr channel);
-  /// Registers one reactor-accepted channel and starts async serving.
-  void AdoptReactorChannel(std::shared_ptr<transport::EpollChannel> channel);
-  /// Applies one request frame to `channel` and sends the response (shared
-  /// by both threading modes).
+  /// Registers one accepted channel and starts serving it on its loop.
+  void Adopt(std::shared_ptr<transport::EpollChannel> channel) EXCLUDES(mu_);
+  /// Applies one request frame to `channel` and sends the response.
   void ServeFrame(BytesView frame, const transport::ChannelPtr& channel);
   Bytes HandleRequest(BytesView frame, const transport::ChannelPtr& channel);
 
   transport::TcpListener listener_;
-  const transport::TransportMode mode_;
   std::atomic<bool> shutting_down_{false};
-  std::thread accept_thread_;                           // kThreadPerConn
-  std::unique_ptr<transport::ReactorAcceptor> acceptor_;  // kReactor
+  std::unique_ptr<transport::ReactorAcceptor> acceptor_;
 
   mutable Mutex mu_;
   std::map<std::string, TopicState> topics_ GUARDED_BY(mu_);
-  std::vector<std::thread> serve_threads_ GUARDED_BY(mu_);
-  std::vector<transport::ChannelPtr> connections_ GUARDED_BY(mu_);
-  std::vector<std::shared_ptr<transport::EpollChannel>> async_connections_
+  std::vector<std::shared_ptr<transport::EpollChannel>> connections_
       GUARDED_BY(mu_);
 };
 

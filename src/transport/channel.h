@@ -5,11 +5,16 @@
 // A `Channel` is one reliable, ordered, duplex, message-framed connection
 // between exactly one publisher-side link and one subscriber-side link.
 //
-// Two implementations:
+// Three implementations:
 //   * InProcChannel — lock-free of OS dependencies, deterministic, with an
 //     optional latency/bandwidth link model (default for experiments);
-//   * TcpChannel    — real loopback TCP sockets with the 4-byte length
-//     preamble, matching the paper's substrate.
+//   * TcpChannel    — a blocking loopback TCP socket with the 4-byte length
+//     preamble, matching the paper's substrate. Every client end (subscriber
+//     receive, remote master, log uploads, sync fetches) is one of these,
+//     driven by its caller's thread;
+//   * EpollChannel  — the server end of a TCP connection, accepted and
+//     driven by the epoll reactor (epoll_channel.h). Same wire format, so a
+//     blocking client and a reactor-driven server pair freely.
 #pragma once
 
 #include <memory>
@@ -25,19 +30,6 @@ namespace adlp::transport {
 /// ample headroom over the largest legitimate payload (the ~1 MB camera
 /// images of Table I).
 inline constexpr std::size_t kMaxFrameBytes = 64u * 1024 * 1024;
-
-/// How connection endpoints are driven. The protocol layer is agnostic:
-/// both modes carry the same frames and produce byte-identical audit
-/// reports; only the threading model differs.
-enum class TransportMode {
-  /// Historical model: one dedicated thread per connection end (one link
-  /// thread per subscriber, one serve thread per RPC client, one ingestion
-  /// thread per log uploader).
-  kThreadPerConn,
-  /// Epoll reactor (reactor.h): a fixed pool of event-loop threads
-  /// multiplexes every connection; scales to C10k-size fan-out.
-  kReactor,
-};
 
 class Channel {
  public:

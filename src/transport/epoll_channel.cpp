@@ -243,7 +243,9 @@ void EpollChannel::StartAsyncOnLoop(FrameHandler on_frame,
   }
   if (torn_down_) {
     // The connection died before (or while) the handler attached; deliver
-    // the close edge the teardown could not.
+    // the close edge the teardown could not, and release the frame handler
+    // as teardown would have (it may own this channel).
+    on_frame_ = nullptr;
     auto closed = std::move(on_closed_);
     on_closed_ = nullptr;
     if (closed) closed();
@@ -359,7 +361,9 @@ void EpollChannel::DeliverFrame(BytesView frame) {
     // instead would heap-allocate once per frame.
     FrameHandler handler = std::move(on_frame_);
     if (handler) handler(frame);
-    if (!on_frame_) on_frame_ = std::move(handler);  // not replaced mid-call
+    // Restore unless replaced mid-call, or released by a teardown the
+    // handler's own send triggered.
+    if (!on_frame_ && !torn_down_) on_frame_ = std::move(handler);
   } else {
     rq_.Push(Bytes(frame.begin(), frame.end()));
   }

@@ -5,15 +5,16 @@
 // buffered and flushed opportunistically (EPOLLOUT is armed only while a
 // short write leaves residue). The wire format is byte-identical to
 // TcpChannel — 4-byte little-endian length preamble, `kMaxFrameBytes` cap
-// enforced before allocation — so the two interoperate freely and the
-// protocol layer cannot tell the modes apart.
+// enforced before allocation — so a blocking TcpChannel client and an
+// EpollChannel server pair freely. That is how every TCP link in the tree
+// is built: servers accept on ReactorAcceptor, clients dial TcpConnect.
 //
 // Two delivery styles:
 //   * blocking-compat: without StartAsync(), parsed frames queue and
 //     Receive() blocks on them, matching TcpChannel semantics exactly;
 //   * async: StartAsync(on_frame, on_closed) delivers each frame on the
-//     loop thread — the mode services use so no thread blocks per
-//     connection.
+//     loop thread — how every server consumes its connections, so no
+//     thread blocks per connection.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,8 @@
 // Epoll reactor: a fixed pool of event-loop threads multiplexing many
-// non-blocking connections, replacing the thread-per-connection model for
-// C10k-scale fan-out.
+// non-blocking connections. It is the only way a TCP server is driven: the
+// node's data listener, MasterService and LogServerService all accept and
+// serve on it, so C10k-scale fan-out costs loop wakeups, not threads.
+// Clients stay blocking TcpChannels on their own threads.
 //
 // Each loop owns an epoll instance, an eventfd for cross-thread wakeup, and
 // a hashed timer wheel for backoff/timeout scheduling. Connections
@@ -10,10 +12,9 @@
 // state needs no locking against itself.
 //
 // The ADLP protocol is transport-agnostic (the signed-hash exchange of
-// PAPER.md Section IV never looks below the frame layer), so swapping the
-// threading model changes no protocol semantics and no audit verdicts —
-// TransportMode (channel.h) selects the model at runtime and every
-// integration test runs under both.
+// PAPER.md Section IV never looks below the frame layer): a fleet run over
+// in-proc channels and the same fleet run over the reactor audit to
+// identical reports (EndToEndTest.TcpAndInProcProduceIdenticalAuditReports).
 #pragma once
 
 #include <atomic>

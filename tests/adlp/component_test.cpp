@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "test_util.h"
 
 namespace adlp::proto {
 namespace {
 
+using pubsub::TransportKind;
 using test::FastOptions;
 using test::MiniSystem;
 using test::WaitFor;
@@ -175,6 +179,47 @@ TEST(ComponentTest, RestartReRegistersANewKey) {
   ASSERT_TRUE(second_key.has_value());
   EXPECT_FALSE(*second_key == first_key);
   EXPECT_EQ(restarted.Identity().keys.pub, *second_key);
+}
+
+/// Publisher CPU time of one strict Ed25519 camera -> detector run of
+/// `count` 20-byte publications over `transport`.
+std::int64_t PublisherCpuNs(TransportKind transport, int count) {
+  MiniSystem sys;
+  ComponentOptions opts = FastOptions();
+  opts.sig_algorithm = crypto::SigAlgorithm::kEd25519;
+  opts.adlp.peer_keys = &sys.server.Keys();  // strict: verify every ACK
+  opts.transport = transport;
+  auto& pub = sys.Add("camera", opts);
+  auto& sub = sys.Add("detector", opts);
+  std::atomic<int> got{0};
+  sub.Subscribe("steering", [&](const pubsub::Message&) { got++; });
+  auto& p = pub.Advertise("steering");
+  EXPECT_TRUE(p.WaitForSubscribers(1));
+  for (int i = 0; i < count; ++i) {
+    p.Publish(Bytes(20, static_cast<std::uint8_t>(i)));
+  }
+  EXPECT_TRUE(WaitFor([&] { return got.load() == count; }));
+  pub.Shutdown();  // collects the last ACK
+  EXPECT_EQ(pub.adlp_factory()->RejectedCount(), 0u);
+  return pub.CpuTimeNs();
+}
+
+TEST(ComponentTest, TcpPublisherCpuTimeMatchesInProc) {
+  // The publisher link's ACK work (Eq. 4 verify, entry building, sends)
+  // runs on a reactor loop over TCP and on a link thread in-proc; either
+  // way it is the publisher's CPU, so the two accounts must agree. Each
+  // transport keeps its cheapest of three alternating runs: interference
+  // from the rest of the machine only ever adds CPU time.
+  constexpr int kCount = 400;
+  std::int64_t inproc = std::numeric_limits<std::int64_t>::max();
+  std::int64_t tcp = inproc;
+  for (int run = 0; run < 3; ++run) {
+    inproc = std::min(inproc, PublisherCpuNs(TransportKind::kInProc, kCount));
+    tcp = std::min(tcp, PublisherCpuNs(TransportKind::kTcp, kCount));
+  }
+  ASSERT_GT(inproc, 0);
+  EXPECT_GE(static_cast<double>(tcp), 0.8 * static_cast<double>(inproc))
+      << "tcp " << tcp << " ns vs in-proc " << inproc << " ns";
 }
 
 TEST(ComponentTest, ShutdownIsIdempotent) {

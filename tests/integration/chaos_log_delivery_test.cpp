@@ -37,12 +37,10 @@ struct RunOutcome {
   proto::SinkStats sub_stats;
 };
 
-proto::ResilientLogSink::Options ChaosSinkOptions(
-    std::uint64_t seed, transport::TransportMode mode) {
+proto::ResilientLogSink::Options ChaosSinkOptions(std::uint64_t seed) {
   proto::ResilientLogSink::Options options;
   options.backoff = transport::BackoffPolicy{2, 50, 2.0, 0.25};
   options.backoff_seed = seed;
-  options.mode = mode;
   return options;
 }
 
@@ -53,9 +51,9 @@ proto::ResilientLogSink::Options ChaosSinkOptions(
 /// messages flow during the outage, and the service is restarted on the
 /// same port with the SAME LogServer state (the paper's logger persists its
 /// store; only the ingestion front-end crashes).
-RunOutcome RunFleet(bool chaos, transport::TransportMode mode) {
+RunOutcome RunFleet(bool chaos) {
   proto::LogServer server;
-  auto service = std::make_unique<proto::LogServerService>(server, 0, mode);
+  auto service = std::make_unique<proto::LogServerService>(server, 0);
   const std::uint16_t port = service->Port();
 
   // Deterministic chaos: connection #1 of each sink drops after
@@ -76,9 +74,9 @@ RunOutcome RunFleet(bool chaos, transport::TransportMode mode) {
   };
   std::atomic<int> pub_connections{0}, sub_connections{0};
   proto::ResilientLogSink pub_sink(make_connector(pub_connections, 0xFA01),
-                                   ChaosSinkOptions(0xBAC0FF01, mode));
+                                   ChaosSinkOptions(0xBAC0FF01));
   proto::ResilientLogSink sub_sink(make_connector(sub_connections, 0xFA02),
-                                   ChaosSinkOptions(0xBAC0FF02, mode));
+                                   ChaosSinkOptions(0xBAC0FF02));
 
   pubsub::Master master;
   Rng rng(20260806);
@@ -117,7 +115,7 @@ RunOutcome RunFleet(bool chaos, transport::TransportMode mode) {
     EXPECT_TRUE(WaitFor(
         [&] { return !pub_sink.Connected() && !sub_sink.Connected(); }));
     // Logger comes back on the same port with its persisted store.
-    service = std::make_unique<proto::LogServerService>(server, port, mode);
+    service = std::make_unique<proto::LogServerService>(server, port);
   }
 
   camera.Shutdown();
@@ -157,31 +155,14 @@ std::uint64_t HistogramSamples(const obs::MetricsSnapshot& snap,
   return total;
 }
 
-/// The whole scenario runs once per transport mode: the reactor-driven log
-/// service and reactor-timed sink backoff must be behaviourally
-/// indistinguishable from the thread-per-connection originals, chaos
-/// included.
-class ChaosLogDeliveryTest
-    : public ::testing::TestWithParam<transport::TransportMode> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    BothModes, ChaosLogDeliveryTest,
-    ::testing::Values(transport::TransportMode::kThreadPerConn,
-                      transport::TransportMode::kReactor),
-    [](const ::testing::TestParamInfo<transport::TransportMode>& info) {
-      return info.param == transport::TransportMode::kReactor
-                 ? "Reactor"
-                 : "ThreadPerConn";
-    });
-
-TEST_P(ChaosLogDeliveryTest, VerdictsMatchUninterruptedBaseline) {
+TEST(ChaosLogDeliveryTest, VerdictsMatchUninterruptedBaseline) {
   // Isolate this test's metrics so the observability assertions below see
   // only what these two fleets recorded.
   obs::MetricsRegistry::Global().Reset();
   obs::TraceLog::Global().Reset();
 
-  const RunOutcome baseline = RunFleet(/*chaos=*/false, GetParam());
-  const RunOutcome chaos = RunFleet(/*chaos=*/true, GetParam());
+  const RunOutcome baseline = RunFleet(/*chaos=*/false);
+  const RunOutcome chaos = RunFleet(/*chaos=*/true);
 
   // The baseline is itself clean.
   ASSERT_EQ(baseline.entries, kExpectedEntries);

@@ -8,7 +8,6 @@
 #include "faults/behavior.h"
 #include "sim/app.h"
 #include "test_util.h"
-#include "transport/channel.h"
 
 namespace adlp {
 namespace {
@@ -143,13 +142,12 @@ TEST(EndToEndTest, TamperedLogStoreIsEvident) {
   EXPECT_FALSE(server.VerifyRecords());
 }
 
-/// One ADLP fleet over real TCP in the given transport mode; returns the
+/// One two-component ADLP fleet over the given transport; returns the
 /// audit report of the run.
-audit::AuditReport RunTcpFleet(transport::TransportMode mode) {
+audit::AuditReport RunFleet(pubsub::TransportKind transport) {
   test::MiniSystem sys;
   proto::ComponentOptions opts = test::FastOptions();
-  opts.transport = pubsub::TransportKind::kTcp;
-  opts.mode = mode;
+  opts.transport = transport;
   auto& pub = sys.Add("camera", opts);
   auto& sub = sys.Add("detector", opts);
   std::atomic<int> got{0};
@@ -164,8 +162,8 @@ audit::AuditReport RunTcpFleet(transport::TransportMode mode) {
       .Audit(sys.server.Entries(), sys.master.Topology());
 }
 
-/// The mode-invariant content of a report: every verdict field that does
-/// not embed a wall-clock timestamp, in audit order.
+/// The transport-invariant content of a report: every verdict field that
+/// does not embed a wall-clock timestamp, in audit order.
 std::string CanonicalReport(const audit::AuditReport& report) {
   std::string out;
   for (const auto& v : report.verdicts) {
@@ -178,36 +176,23 @@ std::string CanonicalReport(const audit::AuditReport& report) {
   return out;
 }
 
-class TcpTransportFullStackTest
-    : public ::testing::TestWithParam<transport::TransportMode> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    BothModes, TcpTransportFullStackTest,
-    ::testing::Values(transport::TransportMode::kThreadPerConn,
-                      transport::TransportMode::kReactor),
-    [](const ::testing::TestParamInfo<transport::TransportMode>& info) {
-      return info.param == transport::TransportMode::kReactor
-                 ? "Reactor"
-                 : "ThreadPerConn";
-    });
-
-TEST_P(TcpTransportFullStackTest, AuditedClean) {
+TEST(TcpTransportFullStackTest, AuditedClean) {
   // Two-component ADLP over real TCP sockets, audited clean.
-  const audit::AuditReport report = RunTcpFleet(GetParam());
+  const audit::AuditReport report = RunFleet(pubsub::TransportKind::kTcp);
   EXPECT_EQ(report.verdicts.size(), 10u);
   EXPECT_TRUE(report.unfaithful.empty()) << report.Render();
 }
 
-TEST(EndToEndTest, TransportModesProduceIdenticalAuditReports) {
-  // The reactor is a transport substitution, invisible to the protocol: the
-  // same fleet run in both modes must audit to byte-identical reports
+TEST(EndToEndTest, TcpAndInProcProduceIdenticalAuditReports) {
+  // The transport is a substitution invisible to the protocol: the same
+  // fleet run over in-proc channels and over TCP (reactor-driven publisher
+  // links, blocking subscriber clients) must audit to identical reports
   // (modulo wall-clock timestamps, which differ between any two runs).
-  const audit::AuditReport thread_report =
-      RunTcpFleet(transport::TransportMode::kThreadPerConn);
-  const audit::AuditReport reactor_report =
-      RunTcpFleet(transport::TransportMode::kReactor);
-  EXPECT_EQ(CanonicalReport(thread_report), CanonicalReport(reactor_report));
-  EXPECT_EQ(thread_report.TotalValid(), reactor_report.TotalValid());
+  const audit::AuditReport inproc_report =
+      RunFleet(pubsub::TransportKind::kInProc);
+  const audit::AuditReport tcp_report = RunFleet(pubsub::TransportKind::kTcp);
+  EXPECT_EQ(CanonicalReport(inproc_report), CanonicalReport(tcp_report));
+  EXPECT_EQ(inproc_report.TotalValid(), tcp_report.TotalValid());
 }
 
 TEST(EndToEndTest, StrictModeBlocksWireTampering) {

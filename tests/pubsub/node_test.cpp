@@ -245,12 +245,20 @@ class MockAckFactory final : public ProtocolFactory {
   std::atomic<bool> replying{true};
   std::atomic<int> acks_seen{0};
   std::atomic<int> delivered{0};
+  // Encoded publications still referenced anywhere (link queues included).
+  std::shared_ptr<std::atomic<int>> live =
+      std::make_shared<std::atomic<int>>(0);
 
   EncodedPublicationPtr Encode(Message message) override {
-    auto enc = std::make_shared<EncodedPublication>();
+    auto* enc = new EncodedPublication;
     enc->wire = SerializeMessage(message);
     enc->message = std::move(message);
-    return enc;
+    live->fetch_add(1);
+    auto release = [live = live](const EncodedPublication* p) {
+      live->fetch_sub(1);
+      delete p;
+    };
+    return EncodedPublicationPtr(enc, release);
   }
 
   std::unique_ptr<PublisherLinkProtocol> MakePublisherLink(
@@ -354,6 +362,67 @@ TEST(AckGatingTest, BoundedQueueDropsWhenStalled) {
   for (int i = 0; i < 20; ++i) p.Publish(Bytes{1});
   // One in flight + at most 2 queued; the rest must have been dropped.
   EXPECT_TRUE(WaitFor([&] { return p.DroppedCount() >= 17; }));
+}
+
+// --- Departed subscribers ---------------------------------------------------
+
+/// A subscriber that leaves must stop costing its publisher: the link stops
+/// counting at once, and no later publication is kept for it.
+void ExpectDepartedSubscriberRetired(TransportKind transport) {
+  Master master;
+  auto factory = std::make_shared<MockAckFactory>();
+  NodeOptions opts;
+  opts.protocol = factory;
+  opts.transport = transport;
+  Node pub("pub", master, opts);
+  Node sub("sub", master, opts);
+  sub.Subscribe("t", [](const Message&) {});
+  auto& p = pub.Advertise("t");
+  ASSERT_TRUE(p.WaitForSubscribers(1));
+  p.Publish(Bytes{1});
+  ASSERT_TRUE(WaitFor([&] { return factory->acks_seen.load() == 1; }));
+
+  sub.Shutdown();
+  EXPECT_TRUE(WaitFor([&] { return p.SubscriberCount() == 0; }));
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(p.Publish(Bytes(1000, 7)), static_cast<std::uint64_t>(i + 2));
+  }
+  EXPECT_TRUE(WaitFor([&] { return factory->live->load() == 0; }))
+      << factory->live->load() << " publications still held";
+  EXPECT_EQ(p.SubscriberCount(), 0u);
+  EXPECT_EQ(p.DroppedCount(), 0u);
+}
+
+TEST(DepartedSubscriberTest, InProcLinkIsRetired) {
+  ExpectDepartedSubscriberRetired(TransportKind::kInProc);
+}
+
+TEST(DepartedSubscriberTest, TcpLinkIsRetired) {
+  ExpectDepartedSubscriberRetired(TransportKind::kTcp);
+}
+
+TEST(DepartedSubscriberTest, DropsOfRetiredLinksStayCounted) {
+  // A stalled subscriber overflows its queue, then leaves: the drops it
+  // caused still count once its link is retired.
+  Master master;
+  auto factory = std::make_shared<MockAckFactory>();
+  factory->replying = false;
+  NodeOptions opts;
+  opts.protocol = factory;
+  opts.max_queue = 2;
+  Node pub("pub", master, opts);
+  Node sub("sub", master, opts);
+  sub.Subscribe("t", [](const Message&) {});
+  auto& p = pub.Advertise("t");
+  ASSERT_TRUE(p.WaitForSubscribers(1));
+  for (int i = 0; i < 20; ++i) p.Publish(Bytes{1});
+  ASSERT_TRUE(WaitFor([&] { return p.DroppedCount() >= 17; }));
+  const std::uint64_t dropped = p.DroppedCount();
+
+  sub.Shutdown();
+  ASSERT_TRUE(WaitFor([&] { return p.SubscriberCount() == 0; }));
+  p.Publish(Bytes{1});  // retires the link
+  EXPECT_EQ(p.DroppedCount(), dropped);
 }
 
 }  // namespace

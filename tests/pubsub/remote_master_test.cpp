@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
+
 #include "audit/auditor.h"
 #include "test_util.h"
 
@@ -115,6 +118,32 @@ TEST(RemoteMasterTest, RpcAfterServiceShutdownThrows) {
   RemoteMaster m(service->Port());
   service.reset();
   EXPECT_THROW(m.Topology(), std::runtime_error);
+}
+
+/// Open file descriptors of this process.
+std::size_t OpenFds() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
+}
+
+TEST(RemoteMasterTest, DepartedNodesReleaseTheirConnections) {
+  // Node churn: every node that connects, asks, and leaves must give its
+  // connection back, or a long-lived master reaches the fd limit. Half of
+  // them leave a subscription parked on a topic nobody advertises.
+  MasterService service(0);
+  const std::size_t before = OpenFds();
+  for (int i = 0; i < 200; ++i) {
+    RemoteMaster node(service.Port());
+    if (i % 2 == 0) {
+      node.Subscribe("unadvertised", "node" + std::to_string(i),
+                     [](const crypto::ComponentId&, transport::ChannelPtr) {});
+    }
+    (void)node.Topology();
+    node.Close();
+  }
+  EXPECT_TRUE(WaitFor([&] { return OpenFds() <= before + 8; }))
+      << OpenFds() << " fds open, " << before << " before the churn";
 }
 
 TEST(RemoteMasterTest, FullAdlpFleetAuditsClean) {

@@ -373,39 +373,48 @@ TEST(EpollChannelTest, QueuedFramesDrainToLateHandler) {
   }
 }
 
-// --- Thread-vs-reactor round-trip interop -----------------------------------
+TEST(EpollChannelTest, HandlerAttachedAfterTeardownIsReleased) {
+  // The peer leaves before the server attaches its handlers. The close edge
+  // still fires, and a frame handler that owns the channel (as the
+  // services' handlers do) is released, so the connection and its fd go.
+  Reactor reactor;
+  TcpListener listener(0);
+  RawPair pair = MakeRawPair(reactor, listener);
+  ::close(pair.client_fd);
+  pair.client_fd = -1;
+  ASSERT_TRUE(pair.server->WaitClosed(5000));
 
-class TransportModeRoundTrip
-    : public ::testing::TestWithParam<TransportMode> {};
+  std::atomic<bool> closed{false};
+  std::weak_ptr<EpollChannel> weak = pair.server;
+  pair.server->StartAsync([owner = pair.server](BytesView) {},
+                          [&] { closed.store(true); });
+  pair.server.reset();
+  const Timestamp deadline = MonotonicNowNs() + 5'000'000'000;
+  while (!weak.expired() && MonotonicNowNs() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(closed.load());
+  EXPECT_TRUE(weak.expired());
+}
 
-TEST_P(TransportModeRoundTrip, EchoAcrossModes) {
-  // Server side driven per the mode under test; client side always a plain
-  // blocking TcpChannel. The framing must be byte-identical, so each mode
-  // interoperates with the historical endpoint.
+// --- Blocking client vs reactor server --------------------------------------
+
+TEST(EpollChannelTest, InteroperatesWithBlockingTcpChannel) {
+  // How every TCP link in the tree is paired: the server end accepted and
+  // driven by the reactor, the client end a plain blocking TcpChannel. The
+  // framing must be byte-identical in both directions.
   Reactor reactor;
   TcpListener listener(0);
 
   ChannelPtr server;
-  std::unique_ptr<ReactorAcceptor> acceptor;
   std::mutex mu;
   std::condition_variable cv;
-  if (GetParam() == TransportMode::kReactor) {
-    acceptor = std::make_unique<ReactorAcceptor>(
-        reactor, listener, [&](std::shared_ptr<EpollChannel> channel) {
-          std::lock_guard lock(mu);
-          server = std::move(channel);
-          cv.notify_one();
-        });
-  }
-  std::thread accept_thread;
-  if (GetParam() == TransportMode::kThreadPerConn) {
-    accept_thread = std::thread([&] {
-      auto channel = listener.Accept();
-      std::lock_guard lock(mu);
-      server = std::move(channel);
-      cv.notify_one();
-    });
-  }
+  ReactorAcceptor acceptor(
+      reactor, listener, [&](std::shared_ptr<EpollChannel> channel) {
+        std::lock_guard lock(mu);
+        server = std::move(channel);
+        cv.notify_one();
+      });
 
   ChannelPtr client = TcpConnect(listener.Port());
   {
@@ -413,7 +422,6 @@ TEST_P(TransportModeRoundTrip, EchoAcrossModes) {
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
                             [&] { return server != nullptr; }));
   }
-  if (accept_thread.joinable()) accept_thread.join();
 
   Bytes msg1{1, 2, 3};
   Bytes msg2(100'000);
@@ -433,19 +441,10 @@ TEST_P(TransportModeRoundTrip, EchoAcrossModes) {
   ASSERT_TRUE(r3);
   EXPECT_EQ(*r3, msg2);
 
-  if (acceptor) acceptor->Close();
+  acceptor.Close();
   client->Close();
   server->Close();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, TransportModeRoundTrip,
-                         ::testing::Values(TransportMode::kThreadPerConn,
-                                           TransportMode::kReactor),
-                         [](const auto& info) {
-                           return info.param == TransportMode::kReactor
-                                      ? "Reactor"
-                                      : "ThreadPerConn";
-                         });
 
 // --- fd-limit degradation ---------------------------------------------------
 
