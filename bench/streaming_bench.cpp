@@ -14,6 +14,10 @@
 //   * streaming p99 detection is at least --min-detect-speedup times
 //     earlier than batch-at-end p99 (default 10x).
 //
+// The `batch` row times Auditor::Audit, which is itself a seal-free replay
+// of the stored log through StreamingAuditor (no epochs, one final seal);
+// the `streaming` row adds the per-epoch seals and the online flags.
+//
 // Output: BENCH_streaming.json (schema-checked and baseline-gated by
 // tools/check_bench_json.py; the throughput rows are what regress).
 //
@@ -180,7 +184,8 @@ int main(int argc, char** argv) {
               fleet.entries, fleet.arrivals.size(), fleet.flagged,
               epoch_transmissions);
 
-  // Batch reference: wall time and the byte-identity oracle.
+  // Batch reference (the seal-free replay): wall time and the byte-identity
+  // oracle.
   const audit::Auditor batch(fleet.keys);
   std::string batch_json;
   const std::vector<double> batch_samples = bench::TimeSamplesMs(reps, [&] {

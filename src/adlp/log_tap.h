@@ -7,8 +7,9 @@
 //
 //   kDropNewest  the push is dropped and counted — ingestion never blocks.
 //                The online consumer sees a gap (its report may diverge
-//                from the batch auditor's until it re-syncs); pick this for
-//                live monitoring where liveness beats completeness.
+//                from an audit of the stored log until it re-syncs); pick
+//                this for live monitoring where liveness beats
+//                completeness.
 //   kBlock       the push waits for space — ingestion slows to the
 //                consumer's pace, but every event is delivered (lossless
 //                tap; what the equivalence tests use). Publisher ACKs are
@@ -18,9 +19,9 @@
 //                this down.
 //
 // Push order is the logger's arrival order (pushes happen inside the
-// logger's append critical section), which is exactly the entry order the
-// batch auditor reads back via Entries() — the property the
-// streaming-vs-batch equivalence oracle leans on.
+// logger's append critical section), which is exactly the entry order an
+// offline audit reads back via Entries() — the property the
+// online-vs-replay equivalence oracle leans on.
 #pragma once
 
 #include <chrono>

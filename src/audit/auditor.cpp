@@ -1,19 +1,61 @@
 #include "audit/auditor.h"
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
+#include <map>
 #include <optional>
+#include <string_view>
 
 #include "audit/merge.h"
-#include "audit/pair_eval.h"
+#include "audit/streaming_auditor.h"
 #include "common/clock.h"
 #include "common/thread_pool.h"
-#include "crypto/sig.h"
 #include "obs/instrument.h"
 
 namespace adlp::audit {
 
-using proto::LogScheme;
+namespace {
+
+/// Signature checks per VerifyDigestBatch call in the replay. Larger
+/// batches amortize the Ed25519 combined equation further and let more of
+/// the checks ADLP makes twice (once from each side's entry) be verified
+/// once.
+constexpr std::size_t kReplayChunkChecks = 1024;
+
+/// Splits the log into min(workers, distinct topics) partitions, each in
+/// log order. A topic goes whole to one partition — largest topics first,
+/// each to the partition with the fewest entries so far — so every
+/// transmission instance is audited by exactly one auditor, which sees its
+/// entries in log order.
+std::vector<std::vector<const proto::LogEntry*>> PartitionByTopic(
+    const std::vector<proto::LogEntry>& entries, std::size_t workers) {
+  std::map<std::string_view, std::size_t> topic_entries;
+  for (const auto& entry : entries) ++topic_entries[entry.topic];
+  const std::size_t count =
+      std::max<std::size_t>(1, std::min(workers, topic_entries.size()));
+
+  std::vector<std::pair<std::size_t, std::string_view>> by_size;
+  by_size.reserve(topic_entries.size());
+  for (const auto& [topic, n] : topic_entries) by_size.emplace_back(n, topic);
+  std::sort(by_size.begin(), by_size.end(), std::greater<>());
+  std::vector<std::size_t> load(count, 0);
+  std::map<std::string_view, std::size_t> partition_of;
+  for (const auto& [n, topic] : by_size) {
+    const auto lightest = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    load[lightest] += n;
+    partition_of[topic] = lightest;
+  }
+
+  std::vector<std::vector<const proto::LogEntry*>> parts(count);
+  for (std::size_t p = 0; p < count; ++p) parts[p].reserve(load[p]);
+  for (const auto& entry : entries) {
+    parts[partition_of[entry.topic]].push_back(&entry);
+  }
+  return parts;
+}
+
+}  // namespace
 
 std::string_view FindingName(Finding f) {
   switch (f) {
@@ -48,17 +90,8 @@ AuditReport Auditor::Audit(const LogDatabase& db) const {
 AuditReport Auditor::Audit(const LogDatabase& db,
                            const AuditOptions& exec) const {
   const Timestamp wall_start = MonotonicNowNs();
-  // Pairs in the database's deterministic iteration order; verdict slot i
-  // belongs to pair i. A disabled slot (base-scheme pair with
-  // include_base_scheme off) stays nullopt and is skipped by the merge, so
-  // the report matches the serial auditor's `continue` exactly.
-  std::vector<const std::map<PairKey, PairEvidence>::value_type*> pairs;
-  pairs.reserve(db.Pairs().size());
-  for (const auto& kv : db.Pairs()) pairs.push_back(&kv);
-  std::vector<std::optional<PairVerdict>> verdicts(pairs.size());
-
   obs::metric::AuditRunsTotal().Add(1);
-  obs::metric::AuditPairsTotal().Add(pairs.size());
+  obs::metric::AuditPairsTotal().Add(db.Pairs().size());
 
   crypto::VerifyCache cache_storage;
   crypto::VerifyCache* cache = exec.verify_cache != nullptr
@@ -67,90 +100,44 @@ AuditReport Auditor::Audit(const LogDatabase& db,
   const std::size_t cache_lookups_before = cache ? cache->Lookups() : 0;
   const std::size_t cache_hits_before = cache ? cache->Hits() : 0;
 
-  // Pairs are audited in chunks: each chunk prepares its plans, gathers
-  // every outstanding signature check into ONE VerifyDigestBatch call
-  // (duplicate triples verified once; Ed25519 checks collapse into a single
-  // combined-equation batch), then finalizes verdicts. Chunking changes
-  // only how many checks share a batch — every verdict is still the pure
-  // serial decision function of its own pair, so the report is
-  // byte-identical for any chunk size or schedule.
-  constexpr std::size_t kChunkPairs = 256;
-  auto evaluate_chunk = [&](const std::size_t* index, std::size_t count) {
-    std::vector<PairPlan> plans;
-    plans.reserve(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      const auto& [key, evidence] = *pairs[index[j]];
-      const bool is_base =
-          (!evidence.publisher.empty() &&
-           evidence.publisher.front().entry->scheme == LogScheme::kBase) ||
-          (!evidence.subscriber.empty() &&
-           evidence.subscriber.front()->scheme == LogScheme::kBase);
-      if (is_base && !options_.include_base_scheme) {
-        PairPlan skipped;
-        skipped.skip = true;
-        plans.push_back(std::move(skipped));
-        continue;
-      }
-      plans.push_back(PreparePair(keys_, db.topology(), key, evidence));
-    }
-    // Requests point into the plans, so emission starts only after every
-    // plan for the chunk is in place.
-    std::vector<crypto::VerifyRequest> requests;
-    requests.reserve(4 * count);
-    for (PairPlan& plan : plans) EmitPairRequests(plan, requests);
-    const std::vector<std::uint8_t> results =
-        crypto::VerifyDigestBatch(requests, cache);
-    for (std::size_t j = 0; j < count; ++j) {
-      if (plans[j].skip) continue;
-      verdicts[index[j]] = FinalizePairPlan(plans[j], results);
-    }
-  };
+  StreamingOptions replay;
+  replay.include_base_scheme = options_.include_base_scheme;
+  replay.chunk_checks = kReplayChunkChecks;
+  replay.verify_cache = cache;
 
-  if (exec.threads <= 1 && exec.pool == nullptr) {
-    std::vector<std::size_t> order(pairs.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    for (std::size_t start = 0; start < order.size(); start += kChunkPairs) {
-      evaluate_chunk(order.data() + start,
-                     std::min(kChunkPairs, order.size() - start));
-    }
+  const std::size_t workers =
+      exec.pool != nullptr ? exec.pool->ThreadCount() : exec.threads;
+  const std::vector<std::vector<const proto::LogEntry*>> parts =
+      PartitionByTopic(db.RawEntries(), workers);
+  std::vector<AuditReport> reports(parts.size());
+  // Each partition is a seal-free replay: entries in log order, then the
+  // final seal. Partitions share only the thread-safe keystore and memo
+  // cache, and each writes its own report slot.
+  const auto replay_part = [&](std::size_t p) {
+    obs::TraceLog::Global().Record(obs::TraceKind::kAuditShardStart, "",
+                                   parts[p].size());
+    const Timestamp part_start = MonotonicNowNs();
+    StreamingAuditor auditor(keys_, db.topology(), replay);
+    for (const proto::LogEntry* entry : parts[p]) auditor.OnEntry(*entry);
+    reports[p] = auditor.Finalize();
+    obs::metric::AuditShardNs().Record(
+        static_cast<std::uint64_t>(MonotonicNowNs() - part_start));
+    obs::TraceLog::Global().Record(obs::TraceKind::kAuditShardFinish, "",
+                                   parts[p].size());
+  };
+  if (parts.size() == 1) {
+    replay_part(0);
   } else {
-    // Shard-parallel evaluation: each (publisher, subscriber, topic) shard
-    // is split into chunk tasks, so entries of one conversation stay on one
-    // worker (warm key material, no false sharing of adjacent verdict slots
-    // in practice). Workers write disjoint verdict slots; the merge below
-    // is the only aggregation and runs serially.
-    const std::vector<PairShard>& shards = db.Shards();
     std::optional<ThreadPool> local_pool;
     ThreadPool* pool = exec.pool;
-    if (pool == nullptr) {
-      local_pool.emplace(exec.threads);
-      pool = &*local_pool;
-    }
-    for (const PairShard& shard : shards) {
-      const std::size_t* base = shard.pair_indices.data();
-      const std::size_t total = shard.pair_indices.size();
-      for (std::size_t start = 0; start < total; start += kChunkPairs) {
-        const std::size_t count = std::min(kChunkPairs, total - start);
-        pool->Submit([&evaluate_chunk, base, start, count] {
-          obs::TraceLog::Global().Record(obs::TraceKind::kAuditShardStart, "",
-                                         count);
-          const Timestamp shard_start = MonotonicNowNs();
-          evaluate_chunk(base + start, count);
-          obs::metric::AuditShardNs().Record(
-              static_cast<std::uint64_t>(MonotonicNowNs() - shard_start));
-          obs::TraceLog::Global().Record(obs::TraceKind::kAuditShardFinish, "",
-                                         count);
-        });
-      }
+    if (pool == nullptr) pool = &local_pool.emplace(parts.size());
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      pool->Submit([&replay_part, p] { replay_part(p); });
     }
     pool->Wait();
   }
+  AuditReport report = MergeReports(std::move(reports));
 
-  AuditReport report;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (!verdicts[i]) continue;
-    MergeVerdict(report, std::move(*verdicts[i]), pairs[i]->second);
-  }
   if (cache != nullptr) {
     obs::metric::VerifyCacheLookupsTotal().Add(cache->Lookups() -
                                                cache_lookups_before);

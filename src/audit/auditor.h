@@ -8,6 +8,12 @@
 // h(seq || D) from the entry's own fields, and checks the entry's own
 // signature (authenticity, Eq. (3)) plus the embedded counterpart signature
 // (interdependence, Eq. (4)).
+//
+// There is one audit driver, StreamingAuditor. Audit() replays the stored
+// log through it in log order with no intermediate seals. With several
+// threads the log is split by topic into min(threads, topics) partitions,
+// one StreamingAuditor each, and their reports are joined in audit/merge.h
+// — byte-identical to the one-partition report for any thread count.
 #pragma once
 
 #include "audit/log_database.h"
@@ -27,12 +33,13 @@ struct AuditorOptions {
   bool include_base_scheme = true;
 };
 
-/// Per-audit execution knobs. The defaults reproduce the historical serial
-/// auditor exactly; any other setting produces a byte-identical report (the
-/// parallel path evaluates the same pure per-pair function and merges
-/// verdicts in the same deterministic order — see merge.h).
+/// Per-audit execution knobs. Every setting produces a byte-identical
+/// report: each topic partition runs the same pure per-pair code, and the
+/// partition reports are joined in one deterministic order (see merge.h).
 struct AuditOptions {
-  /// Worker threads for shard evaluation. <= 1 runs the serial path.
+  /// Worker threads: the log is split into min(threads, distinct topics)
+  /// topic partitions audited concurrently. <= 1 audits in the calling
+  /// thread.
   std::size_t threads = 1;
 
   /// Memoize signature verifications keyed by (public key, digest,
@@ -42,8 +49,9 @@ struct AuditOptions {
   bool cache = false;
 
   /// Optional externally owned pool to reuse across audits (amortizes
-  /// thread spawn cost for fleet-scale batch audits). When null and
-  /// threads > 1, a pool is created for the single call.
+  /// thread spawn cost for fleet-scale audits); its thread count then takes
+  /// the place of `threads`. When null and threads > 1, a pool is created
+  /// for the single call.
   ThreadPool* pool = nullptr;
 
   /// Optional externally owned memo cache, reused across audits (useful for
@@ -58,11 +66,11 @@ class Auditor {
   Auditor(const crypto::KeyStore& keys, AuditorOptions options = {})
       : keys_(keys), options_(options) {}
 
-  /// Audits all entries against the topology manifest (serial).
+  /// Audits all entries against the topology manifest (one thread).
   AuditReport Audit(const LogDatabase& db) const;
 
   /// Audits with explicit execution options; the report is byte-identical
-  /// to the serial one for every setting.
+  /// to the one-thread report for every setting.
   AuditReport Audit(const LogDatabase& db, const AuditOptions& exec) const;
 
   /// Convenience: builds the database internally.
@@ -70,11 +78,6 @@ class Auditor {
                     Topology topology) const;
 
  private:
-  // Pair evaluation itself — the PreparePair / EmitPairRequests /
-  // FinalizePairPlan pipeline — lives in audit/pair_eval.h, shared with the
-  // StreamingAuditor so both produce byte-identical verdicts by running the
-  // same code.
-
   const crypto::KeyStore& keys_;
   AuditorOptions options_;
 };

@@ -51,44 +51,11 @@ LogDatabase::LogDatabase(std::vector<proto::LogEntry> entries,
   }
 }
 
-const std::vector<PairShard>& LogDatabase::Shards() const {
-  std::call_once(shards_once_, [this] {
-    // Resolve each pair's publisher exactly as FactsFromEvidence does, so
-    // the shard key names the real blame target for the whole group.
-    std::map<ShardKey, std::vector<std::size_t>> groups;
-    std::size_t index = 0;
-    for (const auto& [key, evidence] : pairs_) {
-      ShardKey shard{{}, key.subscriber, key.topic};
-      if (const auto p = PublisherOf(key.topic)) {
-        shard.publisher = *p;
-      } else if (!evidence.publisher.empty()) {
-        shard.publisher = evidence.publisher.front().entry->component;
-      } else if (!evidence.subscriber.empty()) {
-        shard.publisher = evidence.subscriber.front()->peer;
-      }
-      groups[shard].push_back(index);
-      ++index;
-    }
-    shards_.reserve(groups.size());
-    for (auto& [key, indices] : groups) {
-      shards_.push_back(PairShard{key, std::move(indices)});
-    }
-  });
-  return shards_;
-}
-
 std::optional<crypto::ComponentId> LogDatabase::PublisherOf(
     const std::string& topic) const {
   const auto it = topology_.find(topic);
   if (it == topology_.end()) return std::nullopt;
   return it->second.publisher;
-}
-
-std::vector<crypto::ComponentId> LogDatabase::SubscribersOf(
-    const std::string& topic) const {
-  const auto it = topology_.find(topic);
-  if (it == topology_.end()) return {};
-  return it->second.subscribers;
 }
 
 }  // namespace adlp::audit

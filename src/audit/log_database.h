@@ -1,6 +1,8 @@
-// Indexed view over the trusted logger's entries: groups publisher and
+// Indexed view over the trusted logger's entries: the entries in log order
+// (what Auditor::Audit replays), plus an index that groups publisher and
 // subscriber entries by transmission instance (topic, seq, subscriber) and
-// expands aggregated publisher entries into per-subscriber views.
+// expands aggregated publisher entries into per-subscriber views (what
+// provenance and causality analysis walk).
 #pragma once
 
 #include <compare>
@@ -41,29 +43,6 @@ struct PairEvidence {
   std::vector<const proto::LogEntry*> subscriber;  // usually 0 or 1
 };
 
-/// Audit-shard identity: all transmission instances between one
-/// (publisher, subscriber) pair on one topic. Verdicts for different shards
-/// touch disjoint evidence, so shards can be verified concurrently; the
-/// publisher is resolved the same way the auditor resolves it (manifest
-/// first, then the entries themselves), so a shard never spans two
-/// different blame targets.
-struct ShardKey {
-  crypto::ComponentId publisher;
-  crypto::ComponentId subscriber;
-  std::string topic;
-
-  auto operator<=>(const ShardKey&) const = default;
-};
-
-/// One audit shard: indices into the deterministic iteration order of
-/// Pairs() (position 0 = Pairs().begin()). Indices within a shard are
-/// ascending, so a shard worker that processes them in order visits pairs
-/// in the same relative order the serial auditor does.
-struct PairShard {
-  ShardKey key;
-  std::vector<std::size_t> pair_indices;
-};
-
 class LogDatabase {
  public:
   /// `topology` tells the auditor which subscriber set each topic has (the
@@ -79,24 +58,13 @@ class LogDatabase {
   const Topology& topology() const { return topology_; }
   const std::vector<proto::LogEntry>& RawEntries() const { return entries_; }
 
-  /// Partition of Pairs() into independently auditable shards, ordered by
-  /// ShardKey. Computed on first use (the serial audit path never pays for
-  /// it).
-  const std::vector<PairShard>& Shards() const;
-
   /// Publisher of `topic` per the manifest (type label -> unique publisher).
   std::optional<crypto::ComponentId> PublisherOf(const std::string& topic) const;
-
-  /// All subscribers of `topic` per the manifest.
-  std::vector<crypto::ComponentId> SubscribersOf(const std::string& topic) const;
 
  private:
   std::vector<proto::LogEntry> entries_;
   Topology topology_;
   std::map<PairKey, PairEvidence> pairs_;
-
-  mutable std::once_flag shards_once_;
-  mutable std::vector<PairShard> shards_;
 };
 
 }  // namespace adlp::audit

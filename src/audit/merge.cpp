@@ -1,8 +1,12 @@
 // Verdict folding and report rendering. Everything that mutates an
 // AuditReport after pair evaluation lives in this translation unit — the
-// auditor's parallel path depends on this fold being the single, serial,
-// order-preserving way verdicts become a report.
+// partitioned auditor depends on this fold and join being the only,
+// order-preserving ways verdicts become a report.
 #include "audit/merge.h"
+
+#include <algorithm>
+#include <iterator>
+#include <tuple>
 
 namespace adlp::audit {
 
@@ -34,11 +38,29 @@ void MergeVerdict(AuditReport& report, PairVerdict verdict, MergeSides sides) {
   report.verdicts.push_back(std::move(verdict));
 }
 
-void MergeVerdict(AuditReport& report, PairVerdict verdict,
-                  const PairEvidence& evidence) {
-  MergeVerdict(report, std::move(verdict),
-               MergeSides{!evidence.publisher.empty(),
-                          !evidence.subscriber.empty()});
+AuditReport MergeReports(std::vector<AuditReport> parts) {
+  if (parts.size() == 1) return std::move(parts.front());
+  AuditReport report;
+  for (AuditReport& part : parts) {
+    std::move(part.verdicts.begin(), part.verdicts.end(),
+              std::back_inserter(report.verdicts));
+    for (const auto& [id, s] : part.stats) {
+      ComponentStats& total = report.stats[id];
+      total.valid += s.valid;
+      total.invalid += s.invalid;
+      total.hidden += s.hidden;
+      total.blamed += s.blamed;
+    }
+    report.unfaithful.merge(part.unfaithful);
+  }
+  // No key is in two parts, so sorting by key yields exactly the PairKey
+  // order one fold over all pairs would produce.
+  std::sort(report.verdicts.begin(), report.verdicts.end(),
+            [](const PairVerdict& a, const PairVerdict& b) {
+              return std::tie(a.topic, a.seq, a.subscriber) <
+                     std::tie(b.topic, b.seq, b.subscriber);
+            });
+  return report;
 }
 
 std::size_t AuditReport::TotalValid() const {

@@ -1,22 +1,22 @@
 // Deterministic verdict merging: folds per-pair verdicts into an
-// AuditReport.
+// AuditReport, and joins the reports of topic partitions into one.
 //
-// Both audit paths — serial and sharded-parallel — evaluate pairs with the
-// same pure pair_eval pipeline and then fold the verdicts HERE, in the
-// LogDatabase's pair-iteration order. Because the fold is the only stateful
-// step and it always runs serially over identically ordered inputs, the
-// parallel auditor's report is byte-identical to the serial one by
-// construction, not by testing luck.
+// A StreamingAuditor folds its verdicts HERE, in PairKey order, when it
+// finalizes. Auditor::Audit runs one StreamingAuditor per topic partition
+// and joins their reports HERE too. Partitions hold disjoint topics, so the
+// join — verdicts re-ordered by PairKey, per-component stats summed, blame
+// sets united — yields byte for byte the report a single auditor over the
+// whole log would have folded, for any number of partitions.
 #pragma once
 
-#include "audit/log_database.h"
+#include <vector>
+
 #include "audit/verdict.h"
 
 namespace adlp::audit {
 
-/// Which sides of a pair actually had entries. The batch path derives this
-/// from the live PairEvidence; the streaming path from the entry counts it
-/// retained after discarding the entries themselves.
+/// Which sides of a pair actually had entries (the auditor keeps the entry
+/// counts after discarding the entries themselves).
 struct MergeSides {
   bool has_publisher = false;
   bool has_subscriber = false;
@@ -28,8 +28,10 @@ struct MergeSides {
 /// the entry should exist but was hidden.
 void MergeVerdict(AuditReport& report, PairVerdict verdict, MergeSides sides);
 
-/// Convenience overload reading the sides off the pair's evidence.
-void MergeVerdict(AuditReport& report, PairVerdict verdict,
-                  const PairEvidence& evidence);
+/// Joins the reports of partitions over disjoint topic sets: verdicts in
+/// PairKey order (topic, seq, subscriber), per-component stats summed,
+/// unfaithful sets united. Parts carry no replica findings (those are
+/// checked once, over the whole fleet).
+AuditReport MergeReports(std::vector<AuditReport> parts);
 
 }  // namespace adlp::audit

@@ -6,41 +6,11 @@
 
 namespace adlp::audit {
 
-namespace {
-
-using proto::LogEntry;
-using proto::LogScheme;
-
-pubsub::MessageHeader HeaderOf(const LogEntry& entry,
-                               const crypto::ComponentId& publisher) {
-  pubsub::MessageHeader header;
-  header.topic = entry.topic;
-  header.publisher = publisher;
-  header.seq = entry.seq;
-  header.stamp = entry.message_stamp;
-  return header;
-}
-
-}  // namespace
-
 std::optional<crypto::Digest> PayloadHashFromBytes(BytesView bytes) {
   if (bytes.size() != crypto::kSha256DigestSize) return std::nullopt;
   crypto::Digest d;
   std::copy(bytes.begin(), bytes.end(), d.begin());
   return d;
-}
-
-std::optional<crypto::Digest> ClaimedPayloadHash(const LogEntry& entry) {
-  if (!entry.data_hash.empty()) return PayloadHashFromBytes(entry.data_hash);
-  return pubsub::PayloadHash(entry.data);
-}
-
-std::optional<crypto::Digest> ClaimedDigest(
-    const LogEntry& entry, const crypto::ComponentId& publisher) {
-  const auto payload_hash = ClaimedPayloadHash(entry);
-  if (!payload_hash) return std::nullopt;
-  return pubsub::MessageDigestFromPayloadHash(HeaderOf(entry, publisher),
-                                              *payload_hash);
 }
 
 crypto::Digest DigestFromParts(const std::string& topic,
@@ -60,38 +30,6 @@ std::optional<crypto::ComponentId> TopologyPublisherOf(
   const auto it = topology.find(topic);
   if (it == topology.end()) return std::nullopt;
   return it->second.publisher;
-}
-
-PairFacts FactsFromEvidence(const Topology& topology, const PairKey& key,
-                            const PairEvidence& evidence) {
-  PairFacts facts;
-  // Resolve the topic's unique publisher: from the manifest, else from the
-  // out-entry owner, else from the in-entry's recorded peer.
-  if (const auto p = TopologyPublisherOf(topology, key.topic)) {
-    facts.publisher = *p;
-  } else if (!evidence.publisher.empty()) {
-    facts.publisher = evidence.publisher.front().entry->component;
-  } else if (!evidence.subscriber.empty()) {
-    facts.publisher = evidence.subscriber.front()->peer;
-  }
-  facts.pub_count = evidence.publisher.size();
-  facts.sub_count = evidence.subscriber.size();
-  if (!evidence.publisher.empty()) {
-    const LogEntry& first = *evidence.publisher.front().entry;
-    facts.pub_first_component = first.component;
-    facts.pub_base = first.scheme == LogScheme::kBase;
-  }
-  if (!evidence.subscriber.empty()) {
-    const LogEntry& first = *evidence.subscriber.front();
-    facts.sub_first_component = first.component;
-    facts.sub_base = first.scheme == LogScheme::kBase;
-  }
-  if (!evidence.publisher.empty() && !evidence.subscriber.empty()) {
-    const LogEntry& sub = *evidence.subscriber.front();
-    facts.base_agree = evidence.publisher.front().entry->data == sub.data &&
-                       sub.data_hash.empty();
-  }
-  return facts;
 }
 
 bool DecideStructural(PairPlan& plan, const PairKey& key,
@@ -160,83 +98,14 @@ bool DecideStructural(PairPlan& plan, const PairKey& key,
   return false;
 }
 
-PairPlan PreparePair(const crypto::KeyStore& keys, const Topology& topology,
-                     const PairKey& key, const PairEvidence& evidence) {
-  PairPlan plan;
-  plan.pub_ev =
-      evidence.publisher.empty() ? nullptr : &evidence.publisher.front();
-  plan.sub_entry =
-      evidence.subscriber.empty() ? nullptr : evidence.subscriber.front();
-  if (DecideStructural(plan, key, FactsFromEvidence(topology, key, evidence))) {
-    return plan;
-  }
-
-  // --- ADLP evaluation: resolve keys and digests; the signature checks
-  // themselves are deferred to the batch. ---
-  PairVerdict& v = plan.verdict;
-  plan.pub_key = keys.Find(v.publisher);
-  plan.sub_key = keys.Find(v.subscriber);
-  if (plan.pub_ev != nullptr) {
-    plan.pub_digest = ClaimedDigest(*plan.pub_ev->entry, v.publisher);
-    // The ACK proves receipt of *this* publication only if the subscriber's
-    // payload hash matches the publisher's claim AND the ACK signature
-    // verifies over the digest rebound to this entry's header — a replayed
-    // ACK from an older seq fails because the rebound digest embeds the
-    // sequence number.
-    const auto pub_payload_hash = ClaimedPayloadHash(*plan.pub_ev->entry);
-    const auto ack_payload_hash =
-        PayloadHashFromBytes(plan.pub_ev->peer_data_hash);
-    plan.ack_gate = plan.pub_digest.has_value() &&
-                    pub_payload_hash.has_value() &&
-                    ack_payload_hash.has_value() &&
-                    *ack_payload_hash == *pub_payload_hash;
-  }
-  if (plan.sub_entry != nullptr) {
-    plan.sub_digest = ClaimedDigest(*plan.sub_entry, v.publisher);
-  }
-  return plan;
-}
-
-void EmitPairRequests(PairPlan& plan,
-                      std::vector<crypto::VerifyRequest>& out) {
-  if (plan.skip || plan.done) return;
-  // A check with no key, no digest, or an empty signature is structurally
-  // false (the serial auditor's VerifySig precondition); its index stays -1.
-  const auto add = [&out](const std::optional<crypto::PublicKey>& key,
-                          const std::optional<crypto::Digest>& digest,
-                          BytesView sig) -> std::ptrdiff_t {
-    if (!key.has_value() || !digest.has_value() || sig.empty()) return -1;
-    out.push_back({&*key, *digest, sig});
-    return static_cast<std::ptrdiff_t>(out.size()) - 1;
-  };
-  if (plan.pub_ev != nullptr) {
-    plan.pub_self =
-        add(plan.pub_key, plan.pub_digest, plan.pub_ev->entry->self_signature);
-    if (plan.ack_gate) {
-      plan.pub_ack =
-          add(plan.sub_key, plan.pub_digest, plan.pub_ev->peer_signature);
-    }
-  }
-  if (plan.sub_entry != nullptr) {
-    plan.sub_self =
-        add(plan.sub_key, plan.sub_digest, plan.sub_entry->self_signature);
-    plan.sub_cross =
-        add(plan.pub_key, plan.sub_digest, plan.sub_entry->peer_signature);
-  }
-}
-
-PairVerdict FinalizePairPlan(PairPlan& plan,
-                             const std::vector<std::uint8_t>& results) {
+PairVerdict FinalizePairPlan(PairPlan& plan) {
   PairVerdict& v = plan.verdict;
   if (plan.done) return std::move(v);
 
-  const auto ok = [&results](std::ptrdiff_t index) {
-    return index >= 0 && results[static_cast<std::size_t>(index)] != 0;
-  };
-  const bool pub_self_ok = ok(plan.pub_self);
-  const bool pub_ack_ok = ok(plan.pub_ack);
-  const bool sub_self_ok = ok(plan.sub_self);
-  const bool sub_cross_ok = ok(plan.sub_cross);
+  const bool pub_self_ok = plan.pub_self_ok;
+  const bool pub_ack_ok = plan.pub_ack_ok;
+  const bool sub_self_ok = plan.sub_self_ok;
+  const bool sub_cross_ok = plan.sub_cross_ok;
   const std::optional<crypto::Digest>& pub_digest = plan.pub_digest;
   const std::optional<crypto::Digest>& sub_digest = plan.sub_digest;
 

@@ -1,33 +1,26 @@
 // Pure per-pair audit evaluation — the executable decision tree of
-// Lemmas 1-3 factored out of the batch Auditor so every audit pipeline
-// (serial, sharded-parallel, streaming) runs the exact same code and is
-// byte-identical by construction.
+// Lemmas 1-3. StreamingAuditor runs it, and so does Auditor::Audit, which
+// is a replay of the log through StreamingAuditor.
 //
-// The pipeline has three stages:
+// The tree has two halves:
 //
-//   PreparePair       resolves evidence, keys, and digests, and decides every
-//                     verdict that needs no signature check (duplicates,
-//                     impersonation, base scheme);
-//   EmitPairRequests  appends the pair's outstanding signature checks to a
-//                     batch of VerifyRequests;
-//   FinalizePairPlan  turns the batch results into the verdict.
+//   DecideStructural  decides every verdict that needs no signature check
+//                     (duplicates, impersonation, base scheme);
+//   FinalizePairPlan  turns the outcomes of the four signature checks into
+//                     the verdict.
 //
-// The structural part of the decision tree (DecideStructural) and the
-// final decision tree (FinalizePairPlan) are deliberately expressed over
-// plain facts and booleans rather than over evidence pointers: the
-// StreamingAuditor re-derives those facts from compact per-pair residue
-// after the original entries were discarded, and feeding them through the
-// same functions is what makes its final report provably identical to the
-// batch auditor's.
+// Both halves run on plain facts and booleans rather than on entries: the
+// auditor reduces each entry to compact per-pair residue on arrival and
+// discards it, then re-derives the verdict from that residue at every
+// seal. Sealing early, re-opening on late arrivals and evicting under
+// memory pressure therefore all converge to the same verdict.
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "audit/log_database.h"
 #include "audit/verdict.h"
-#include "crypto/keystore.h"
-#include "crypto/sig.h"
+#include "crypto/sha256.h"
 
 namespace adlp::audit {
 
@@ -35,23 +28,12 @@ namespace adlp::audit {
 /// is malformed (wrong size).
 std::optional<crypto::Digest> PayloadHashFromBytes(BytesView bytes);
 
-/// h(D) the entry commits to: stored directly (hash-storing subscriber) or
-/// recomputed from the stored data. nullopt when the stored hash field is
-/// malformed (wrong size).
-std::optional<crypto::Digest> ClaimedPayloadHash(const proto::LogEntry& entry);
-
-/// Reconstructs the signed digest h(header || h(D)) an entry commits to.
-/// The header is rebuilt from the entry's own fields — this is what rebinds
-/// a stored payload hash to THIS topic/seq/stamp, defeating replays.
-/// `publisher` is the topic's unique publisher (the entry owner for
+/// Reconstructs the signed digest h(header || h(D)) an entry commits to,
+/// from the parts the auditor retained (its payload hash and message
+/// stamp). The header is rebuilt from the entry's own fields — this is what
+/// rebinds a stored payload hash to THIS topic/seq/stamp, defeating
+/// replays. `publisher` is the topic's unique publisher (the entry owner for
 /// out-entries, the recorded peer or manifest publisher for in-entries).
-std::optional<crypto::Digest> ClaimedDigest(const proto::LogEntry& entry,
-                                            const crypto::ComponentId& publisher);
-
-/// The same signed digest rebuilt from retained parts instead of a live
-/// entry (streaming pipeline: the entry is gone, its payload hash and
-/// message stamp were kept). Identical to ClaimedDigest for the entry the
-/// parts came from.
 crypto::Digest DigestFromParts(const std::string& topic,
                                const crypto::ComponentId& publisher,
                                std::uint64_t seq, Timestamp message_stamp,
@@ -61,9 +43,8 @@ crypto::Digest DigestFromParts(const std::string& topic,
 std::optional<crypto::ComponentId> TopologyPublisherOf(
     const Topology& topology, const std::string& topic);
 
-/// Evidence-shape facts the structural decision tree runs on. The batch
-/// path fills this from PairEvidence; the streaming path from its compact
-/// per-pair residue.
+/// Evidence-shape facts the structural decision tree runs on, read off the
+/// first entry of each side of the pair.
 struct PairFacts {
   /// Resolved publisher (manifest, else out-entry owner, else in-entry
   /// peer; empty when nothing names one).
@@ -80,36 +61,22 @@ struct PairFacts {
   bool base_agree = false;
 };
 
-/// Everything FinalizePairPlan needs to turn batch verification results
-/// into a verdict. Holds owned copies of the resolved public keys: emitted
-/// VerifyRequests point into them, so a plan must stay put between
-/// EmitPairRequests and the batch call (the pipeline builds all plans for a
-/// chunk before emitting any requests).
+/// Everything FinalizePairPlan needs: the structural verdict prefix, which
+/// sides exist, the digests each side commits to, and the outcome of each
+/// signature check. A check is false when it failed or when it could not be
+/// made at all (no key, no digest, or an empty signature).
 struct PairPlan {
-  bool skip = false;  // base-scheme pair with include_base_scheme off
   bool done = false;  // verdict decided without signature checks
   PairVerdict verdict;
   bool has_publisher = false;
   bool has_subscriber = false;
-  // Evidence-backed plans only (batch pipeline); the streaming pipeline
-  // leaves these null and sets the booleans + digests directly.
-  const PublisherEvidence* pub_ev = nullptr;
-  const proto::LogEntry* sub_entry = nullptr;
-  std::optional<crypto::PublicKey> pub_key;
-  std::optional<crypto::PublicKey> sub_key;
   std::optional<crypto::Digest> pub_digest;
   std::optional<crypto::Digest> sub_digest;
-  /// The ACK signature proves receipt only when the acknowledged payload
-  /// hash matches the publisher's claim; when false the ACK check is not
-  /// even emitted.
-  bool ack_gate = false;
-  // Indices into the chunk's request vector; -1 means the check is
-  // structurally false (missing key, unreconstructable digest, or empty
-  // signature) and no request was emitted.
-  std::ptrdiff_t pub_self = -1;
-  std::ptrdiff_t pub_ack = -1;
-  std::ptrdiff_t sub_self = -1;
-  std::ptrdiff_t sub_cross = -1;
+  bool pub_self_ok = false;   // publisher's own signature, Eq. (3)
+  bool pub_ack_ok = false;    // subscriber's ACK in the publisher entry
+  bool sub_self_ok = false;   // subscriber's own signature, Eq. (3)
+  bool sub_cross_ok = false;  // publisher's signature in the subscriber
+                              // entry, Eq. (4)
 };
 
 /// The signature-free prefix of the decision tree: replayed sequence
@@ -120,22 +87,8 @@ struct PairPlan {
 bool DecideStructural(PairPlan& plan, const PairKey& key,
                       const PairFacts& facts);
 
-/// Builds the evidence facts exactly as the serial auditor reads them.
-PairFacts FactsFromEvidence(const Topology& topology, const PairKey& key,
-                            const PairEvidence& evidence);
-
-/// Stage 1: resolve evidence and digests; decide every verdict that needs
-/// no signature checks.
-PairPlan PreparePair(const crypto::KeyStore& keys, const Topology& topology,
-                     const PairKey& key, const PairEvidence& evidence);
-
-/// Stage 2: append the pair's outstanding verification requests to a batch.
-void EmitPairRequests(PairPlan& plan,
-                      std::vector<crypto::VerifyRequest>& out);
-
-/// Stage 3: turn the batch results into the verdict with exactly the
-/// serial decision tree.
-PairVerdict FinalizePairPlan(PairPlan& plan,
-                             const std::vector<std::uint8_t>& results);
+/// Turns the check outcomes into the verdict: the rest of the decision
+/// tree after DecideStructural.
+PairVerdict FinalizePairPlan(PairPlan& plan);
 
 }  // namespace adlp::audit

@@ -1,6 +1,5 @@
 #include "audit/streaming_auditor.h"
 
-#include <deque>
 #include <utility>
 
 #include "audit/merge.h"
@@ -21,8 +20,23 @@ StreamingAuditor::StreamingAuditor(const crypto::KeyStore& keys,
       topology_(std::move(topology)),
       options_(std::move(options)) {}
 
+StreamingAuditor::~StreamingAuditor() {
+  MutexLock lock(mu_);
+  obs::metric::StreamingOpenPairs().Sub(
+      static_cast<std::int64_t>(open_pairs_));
+  obs::metric::StreamingOpenShards().Sub(
+      static_cast<std::int64_t>(open_shards_));
+}
+
 void StreamingAuditor::OnEntry(const LogEntry& entry) {
   const Timestamp now = MonotonicNowNs();
+  // One pass over the payload per entry, however many pairs it fans out
+  // to: an entry that stores raw data commits to exactly h(data).
+  EntryHashes hashes;
+  hashes.data_sha = pubsub::PayloadHash(entry.data);
+  hashes.claimed = entry.data_hash.empty()
+                       ? std::optional<crypto::Digest>(hashes.data_sha)
+                       : PayloadHashFromBytes(entry.data_hash);
   std::vector<FlaggedVerdict> flagged;
   {
     MutexLock lock(mu_);
@@ -34,31 +48,31 @@ void StreamingAuditor::OnEntry(const LogEntry& entry) {
     // one contribution per AckRecord; plain out-entries key on their peer;
     // peerless out-entries attach to every manifest subscriber (or to the
     // empty-subscriber pair for unknown topics).
+    const auto apply = [&](crypto::ComponentId subscriber, bool publisher_side,
+                           BytesView ack_hash, BytesView ack_sig) {
+      ApplyLocked(PairKey{entry.topic, entry.seq, std::move(subscriber)},
+                  entry, hashes, publisher_side, ack_hash, ack_sig, now);
+    };
     if (entry.direction == Direction::kIn) {
-      ApplyLocked(PairKey{entry.topic, entry.seq, entry.component}, entry,
-                  /*publisher_side=*/false, {}, {}, now);
+      apply(entry.component, /*publisher_side=*/false, {}, {});
     } else if (!entry.acks.empty()) {
       for (const auto& ack : entry.acks) {
-        ApplyLocked(PairKey{entry.topic, entry.seq, ack.subscriber}, entry,
-                    /*publisher_side=*/true, ack.data_hash, ack.signature,
-                    now);
+        apply(ack.subscriber, /*publisher_side=*/true, ack.data_hash,
+              ack.signature);
       }
     } else if (!entry.peer.empty()) {
-      ApplyLocked(PairKey{entry.topic, entry.seq, entry.peer}, entry,
-                  /*publisher_side=*/true, entry.peer_data_hash,
-                  entry.peer_signature, now);
+      apply(entry.peer, /*publisher_side=*/true, entry.peer_data_hash,
+            entry.peer_signature);
     } else {
       const auto it = topology_.find(entry.topic);
       if (it != topology_.end() && !it->second.subscribers.empty()) {
         for (const auto& sub : it->second.subscribers) {
-          ApplyLocked(PairKey{entry.topic, entry.seq, sub}, entry,
-                      /*publisher_side=*/true, entry.peer_data_hash,
-                      entry.peer_signature, now);
+          apply(sub, /*publisher_side=*/true, entry.peer_data_hash,
+                entry.peer_signature);
         }
       } else {
-        ApplyLocked(PairKey{entry.topic, entry.seq, {}}, entry,
-                    /*publisher_side=*/true, entry.peer_data_hash,
-                    entry.peer_signature, now);
+        apply({}, /*publisher_side=*/true, entry.peer_data_hash,
+              entry.peer_signature);
       }
     }
 
@@ -67,16 +81,17 @@ void StreamingAuditor::OnEntry(const LogEntry& entry) {
         open_pairs_ > options_.max_open_pairs) {
       EvictLocked(now, flagged);
     }
-    UpdateGaugesLocked();
   }
   FireCallbacks(std::move(flagged));
 }
 
 void StreamingAuditor::ApplyLocked(const PairKey& key, const LogEntry& entry,
+                                   const EntryHashes& hashes,
                                    bool publisher_side, BytesView ack_hash,
                                    BytesView ack_sig, Timestamp now) {
   const auto [it, created] = pairs_.try_emplace(key);
-  PairState& st = it->second;
+  PairEntry& pair = *it;
+  PairState& st = pair.second;
   if (created) {
     ++stats_.pairs;
     st.first_arrival_ns = now;
@@ -84,7 +99,7 @@ void StreamingAuditor::ApplyLocked(const PairKey& key, const LogEntry& entry,
       st.publisher = *p;
       st.manifest_publisher = true;
     }
-    OpenPairLocked(key, st);
+    OpenPairLocked(pair);
   } else if (!st.open) {
     // An entry for an already-sealed pair: count it, re-open, and let the
     // next seal re-audit — the verdict is re-derived from the updated
@@ -92,23 +107,22 @@ void StreamingAuditor::ApplyLocked(const PairKey& key, const LogEntry& entry,
     // than silently merged.
     ++stats_.late_entries;
     obs::metric::StreamingLateEntriesTotal().Add(1);
-    OpenPairLocked(key, st);
+    OpenPairLocked(pair);
   }
   st.shard->last_touch = ++touch_counter_;
 
   SideState& side = publisher_side ? st.pub : st.sub;
   ++side.count;
   // Only the FIRST entry of a side feeds the decision tree (extra entries
-  // make the pair a duplicate, decided from the count alone) — exactly the
-  // batch auditor's evidence.front() reads.
+  // make the pair a duplicate, decided from the count alone).
   if (side.count > 1) return;
   side.first_component = entry.component;
   side.base = entry.scheme == LogScheme::kBase;
   side.message_stamp = entry.message_stamp;
-  side.data_sha = pubsub::PayloadHash(entry.data);
-  if (const auto ph = ClaimedPayloadHash(entry)) {
+  side.data_sha = hashes.data_sha;
+  if (hashes.claimed) {
     side.has_payload_hash = true;
-    side.payload_hash = *ph;
+    side.payload_hash = *hashes.claimed;
   }
 
   if (publisher_side) {
@@ -118,42 +132,34 @@ void StreamingAuditor::ApplyLocked(const PairKey& key, const LogEntry& entry,
     // publisher and must be re-verified under this one.
     if (!st.manifest_publisher && st.publisher != entry.component) {
       st.publisher = entry.component;
-      RehomeLocked(key, st);
+      RehomeLocked(pair);
       RecomputeSubChecksLocked(key, st);
     }
-    const std::optional<crypto::Digest> digest =
-        side.has_payload_hash
-            ? std::optional<crypto::Digest>(
-                  DigestFromParts(key.topic, st.publisher, key.seq,
-                                  side.message_stamp, side.payload_hash))
-            : std::nullopt;
-    SetCheckLocked(key, st, kPubSelf, digest, st.publisher,
+    side.BindDigest(key, st.publisher);
+    const std::optional<crypto::Digest>& digest = side.digest;
+    SetCheckLocked(st, kPubSelf, digest, st.publisher,
                    entry.self_signature);
     // The ACK proves receipt of *this* publication only if the subscriber's
-    // acknowledged payload hash matches the publisher's claim (the batch
-    // auditor's ack_gate); otherwise the ACK check is structurally false.
+    // acknowledged payload hash matches the publisher's claim AND the ACK
+    // signature verifies over the digest rebound to this entry's header — a
+    // replayed ACK from an older seq fails because the rebound digest
+    // embeds the sequence number. Without a matching hash the ACK check is
+    // structurally false.
     const auto ack_payload = PayloadHashFromBytes(ack_hash);
-    st.ack_gate = digest.has_value() && ack_payload.has_value() &&
-                  *ack_payload == side.payload_hash;
-    if (st.ack_gate) {
-      SetCheckLocked(key, st, kPubAck, digest, key.subscriber, ack_sig);
+    if (digest.has_value() && ack_payload.has_value() &&
+        *ack_payload == side.payload_hash) {
+      SetCheckLocked(st, kPubAck, digest, key.subscriber, ack_sig);
     }
   } else {
-    st.sub_peer = entry.peer;
     st.sub_data_hash_empty = entry.data_hash.empty();
     if (!st.manifest_publisher && st.pub.count == 0) {
       st.publisher = entry.peer;
-      RehomeLocked(key, st);
+      RehomeLocked(pair);
     }
-    const std::optional<crypto::Digest> digest =
-        side.has_payload_hash
-            ? std::optional<crypto::Digest>(
-                  DigestFromParts(key.topic, st.publisher, key.seq,
-                                  side.message_stamp, side.payload_hash))
-            : std::nullopt;
-    SetCheckLocked(key, st, kSubSelf, digest, key.subscriber,
+    side.BindDigest(key, st.publisher);
+    SetCheckLocked(st, kSubSelf, side.digest, key.subscriber,
                    entry.self_signature);
-    SetCheckLocked(key, st, kSubCross, digest, st.publisher,
+    SetCheckLocked(st, kSubCross, side.digest, st.publisher,
                    entry.peer_signature);
     if (!topology_.contains(key.topic)) {
       // Off-manifest: a late publisher entry can re-resolve the publisher;
@@ -166,7 +172,7 @@ void StreamingAuditor::ApplyLocked(const PairKey& key, const LogEntry& entry,
 }
 
 void StreamingAuditor::SetCheckLocked(
-    const PairKey& key, PairState& st, int index,
+    PairState& st, int index,
     const std::optional<crypto::Digest>& digest,
     const crypto::ComponentId& signer, BytesView signature) {
   if (st.pending && st.pending->spec[static_cast<std::size_t>(index)]) {
@@ -185,7 +191,7 @@ void StreamingAuditor::SetCheckLocked(
   ++fresh_checks_;
   if (!st.queued) {
     st.queued = true;
-    verify_queue_.push_back(key);
+    verify_queue_.push_back(&st);
   }
 }
 
@@ -197,75 +203,94 @@ void StreamingAuditor::RecomputeSubChecksLocked(const PairKey& key,
       st.retained != nullptr ? st.retained->self_signature : kNoSig;
   const Bytes& cross_sig =
       st.retained != nullptr ? st.retained->cross_signature : kNoSig;
-  const std::optional<crypto::Digest> digest =
-      st.sub.has_payload_hash
-          ? std::optional<crypto::Digest>(
-                DigestFromParts(key.topic, st.publisher, key.seq,
-                                st.sub.message_stamp, st.sub.payload_hash))
-          : std::nullopt;
-  SetCheckLocked(key, st, kSubSelf, digest, key.subscriber, self_sig);
-  SetCheckLocked(key, st, kSubCross, digest, st.publisher, cross_sig);
+  st.sub.BindDigest(key, st.publisher);
+  SetCheckLocked(st, kSubSelf, st.sub.digest, key.subscriber, self_sig);
+  SetCheckLocked(st, kSubCross, st.sub.digest, st.publisher, cross_sig);
 }
 
-void StreamingAuditor::OpenPairLocked(const PairKey& key, PairState& st) {
+void StreamingAuditor::SideState::BindDigest(
+    const PairKey& key, const crypto::ComponentId& publisher) {
+  digest = has_payload_hash
+               ? std::optional<crypto::Digest>(DigestFromParts(
+                     key.topic, publisher, key.seq, message_stamp,
+                     payload_hash))
+               : std::nullopt;
+}
+
+void StreamingAuditor::OpenPairLocked(PairEntry& pair) {
+  const PairKey& key = pair.first;
+  PairState& st = pair.second;
   st.open = true;
   ++open_pairs_;
+  obs::metric::StreamingOpenPairs().Add(1);
   ShardState& shard =
       shards_[ShardKey{st.publisher, key.subscriber, key.topic}];
   st.shard = &shard;
-  if (shard.open++ == 0) ++open_shards_;
-  shard.open_pairs.push_back(key);
+  ShardGainedLocked(shard);
+  shard.open_pairs.push_back(&pair);
 }
 
-void StreamingAuditor::RehomeLocked(const PairKey& key, PairState& st) {
+void StreamingAuditor::RehomeLocked(PairEntry& pair) {
+  const PairKey& key = pair.first;
+  PairState& st = pair.second;
   ShardState& shard =
       shards_[ShardKey{st.publisher, key.subscriber, key.topic}];
   if (st.shard == &shard) return;
   if (st.open) {
-    if (--st.shard->open == 0) --open_shards_;
-    if (shard.open++ == 0) ++open_shards_;
-    shard.open_pairs.push_back(key);
+    ShardLostLocked(*st.shard);
+    ShardGainedLocked(shard);
+    shard.open_pairs.push_back(&pair);
     // The old shard's list entry becomes a tombstone; seal iteration skips
     // pairs whose current shard no longer matches.
   }
   st.shard = &shard;
 }
 
+// The process-wide gauges move with every open/seal transition, so they
+// sum over all live auditors.
+void StreamingAuditor::ShardGainedLocked(ShardState& shard) {
+  if (shard.open++ != 0) return;
+  ++open_shards_;
+  obs::metric::StreamingOpenShards().Add(1);
+}
+
+void StreamingAuditor::ShardLostLocked(ShardState& shard) {
+  if (--shard.open != 0) return;
+  --open_shards_;
+  obs::metric::StreamingOpenShards().Sub(1);
+}
+
 void StreamingAuditor::FlushLocked() {
   fresh_checks_ = 0;
   if (verify_queue_.empty()) return;
-  std::vector<PairKey> queue;
+  std::vector<PairState*> queue;
   queue.swap(verify_queue_);
 
-  // Requests reference the specs' owned signatures and key copies in a
-  // deque (stable addresses under push_back) — alive until the batch call
-  // returns.
-  std::deque<crypto::PublicKey> key_scratch;
+  // Each signer's key is looked up once per flush. Requests reference the
+  // specs' owned signatures and the keys in this map (node-based: stable
+  // addresses) — alive until the batch call returns.
+  std::map<crypto::ComponentId, std::optional<crypto::PublicKey>> signer_keys;
   std::vector<crypto::VerifyRequest> requests;
   struct Slot {
     PairState* st;
     int index;
   };
   std::vector<Slot> slots;
-  for (const PairKey& key : queue) {
-    const auto it = pairs_.find(key);
-    if (it == pairs_.end()) continue;
-    PairState& st = it->second;
-    st.queued = false;
-    if (!st.pending) continue;
+  for (PairState* st : queue) {
+    st->queued = false;
+    if (!st->pending) continue;
     for (int i = 0; i < 4; ++i) {
-      const auto& spec = st.pending->spec[static_cast<std::size_t>(i)];
+      const auto& spec = st->pending->spec[static_cast<std::size_t>(i)];
       if (!spec) continue;
-      auto pk = keys_.Find(spec->signer);
+      const auto [key_it, fresh] = signer_keys.try_emplace(spec->signer);
+      if (fresh) key_it->second = keys_.Find(spec->signer);
       // Unregistered signer: keep the check pending and retry at the next
       // flush, so a key that registers later still resolves before
-      // Finalize — the batch auditor sees the final keystore state too.
-      if (!pk) continue;
-      key_scratch.push_back(std::move(*pk));
-      requests.push_back(
-          crypto::VerifyRequest{&key_scratch.back(), spec->digest,
-                                spec->signature});
-      slots.push_back(Slot{&st, i});
+      // Finalize.
+      if (!key_it->second) continue;
+      requests.push_back(crypto::VerifyRequest{&*key_it->second, spec->digest,
+                                               spec->signature});
+      slots.push_back(Slot{st, i});
     }
   }
 
@@ -282,20 +307,17 @@ void StreamingAuditor::FlushLocked() {
   }
 
   // Free empty spec blocks; re-queue pairs still waiting on a key.
-  for (const PairKey& key : queue) {
-    const auto it = pairs_.find(key);
-    if (it == pairs_.end()) continue;
-    PairState& st = it->second;
-    if (!st.pending) continue;
+  for (PairState* st : queue) {
+    if (!st->pending) continue;
     bool any = false;
-    for (const auto& spec : st.pending->spec) any = any || spec.has_value();
+    for (const auto& spec : st->pending->spec) any = any || spec.has_value();
     if (!any) {
-      st.pending.reset();
+      st->pending.reset();
       continue;
     }
-    if (!st.queued) {
-      st.queued = true;
-      verify_queue_.push_back(key);
+    if (!st->queued) {
+      st->queued = true;
+      verify_queue_.push_back(st);
     }
   }
 }
@@ -318,49 +340,36 @@ StreamingAuditor::Outcome StreamingAuditor::ComputeVerdictLocked(
   facts.sub_base = st.sub.base;
   if (st.pub.count > 0 && st.sub.count > 0) {
     // Base-scheme agreement compares raw data fields; equal SHA-256 of the
-    // retained data stands in for the batch auditor's byte comparison.
+    // retained data stands in for the byte comparison.
     facts.base_agree =
         st.pub.data_sha == st.sub.data_sha && st.sub_data_hash_empty;
   }
 
   PairPlan plan;
-  std::vector<std::uint8_t> results;
   if (!DecideStructural(plan, key, facts)) {
-    if (st.pub.has_payload_hash) {
-      plan.pub_digest = DigestFromParts(key.topic, st.publisher, key.seq,
-                                        st.pub.message_stamp,
-                                        st.pub.payload_hash);
-    }
-    if (st.sub.has_payload_hash) {
-      plan.sub_digest = DigestFromParts(key.topic, st.publisher, key.seq,
-                                        st.sub.message_stamp,
-                                        st.sub.payload_hash);
-    }
-    // Bind resolved check outcomes as single-element batch results; a check
-    // still pending here (signer key never registered) is structurally
-    // false, matching the batch auditor's missing-key treatment.
-    const auto bind = [&results](Check c) -> std::ptrdiff_t {
-      if (c != Check::kPass && c != Check::kFail) return -1;
-      results.push_back(c == Check::kPass ? 1 : 0);
-      return static_cast<std::ptrdiff_t>(results.size()) - 1;
-    };
-    plan.pub_self = bind(st.checks[kPubSelf]);
-    plan.pub_ack = bind(st.checks[kPubAck]);
-    plan.sub_self = bind(st.checks[kSubSelf]);
-    plan.sub_cross = bind(st.checks[kSubCross]);
+    // Each side's digest was bound under the current publisher when its
+    // first entry arrived or the publisher last re-resolved.
+    plan.pub_digest = st.pub.digest;
+    plan.sub_digest = st.sub.digest;
+    // A check still pending here (signer key never registered) is
+    // structurally false, like an absent one.
+    plan.pub_self_ok = st.checks[kPubSelf] == Check::kPass;
+    plan.pub_ack_ok = st.checks[kPubAck] == Check::kPass;
+    plan.sub_self_ok = st.checks[kSubSelf] == Check::kPass;
+    plan.sub_cross_ok = st.checks[kSubCross] == Check::kPass;
   }
-  out.verdict = FinalizePairPlan(plan, results);
+  out.verdict = FinalizePairPlan(plan);
   return out;
 }
 
-void StreamingAuditor::SealPairLocked(const PairKey& key, PairState& st,
-                                      Timestamp now,
-                                      std::vector<FlaggedVerdict>& flagged) {
+void StreamingAuditor::ClosePairLocked(PairState& st, const Outcome& out,
+                                       Timestamp now,
+                                       std::vector<FlaggedVerdict>& flagged) {
   st.open = false;
   --open_pairs_;
-  if (--st.shard->open == 0) --open_shards_;
+  obs::metric::StreamingOpenPairs().Sub(1);
+  ShardLostLocked(*st.shard);
 
-  Outcome out = ComputeVerdictLocked(key, st);
   if (out.skipped || st.flagged || out.verdict.finding == Finding::kOk) {
     return;
   }
@@ -371,19 +380,17 @@ void StreamingAuditor::SealPairLocked(const PairKey& key, PairState& st,
                                ? now - st.first_arrival_ns
                                : Timestamp{0};
   obs::metric::StreamingDetectNs().Record(static_cast<std::uint64_t>(detect));
-  flagged.push_back(FlaggedVerdict{std::move(out.verdict), detect});
+  flagged.push_back(FlaggedVerdict{out.verdict, detect});
 }
 
 void StreamingAuditor::SealShardLocked(ShardState& shard, Timestamp now,
                                        std::vector<FlaggedVerdict>& flagged) {
-  std::vector<PairKey> keys;
-  keys.swap(shard.open_pairs);
-  for (const PairKey& key : keys) {
-    const auto it = pairs_.find(key);
-    if (it == pairs_.end()) continue;
-    PairState& st = it->second;
+  std::vector<PairEntry*> pairs;
+  pairs.swap(shard.open_pairs);
+  for (PairEntry* pair : pairs) {
+    PairState& st = pair->second;
     if (!st.open || st.shard != &shard) continue;  // tombstone
-    SealPairLocked(key, st, now, flagged);
+    ClosePairLocked(st, ComputeVerdictLocked(pair->first, st), now, flagged);
   }
 }
 
@@ -419,7 +426,6 @@ void StreamingAuditor::SealEpoch() {
     }
     ++stats_.epochs;
     obs::metric::StreamingEpochsTotal().Add(1);
-    UpdateGaugesLocked();
   }
   FireCallbacks(std::move(flagged));
 }
@@ -430,25 +436,23 @@ AuditReport StreamingAuditor::Finalize() {
   AuditReport report;
   {
     MutexLock lock(mu_);
-    // Final flush retries checks whose signer key registered late, then the
-    // implicit final seal flags anything still open.
+    // Final flush retries checks whose signer key registered late.
     FlushLocked();
-    for (auto& [shard_key, shard] : shards_) {
-      if (shard.open > 0) SealShardLocked(shard, now, flagged);
-    }
-    // Fold verdicts in PairKey order — the LogDatabase pair-iteration order
-    // the batch auditor merges in — re-deriving each verdict from the
-    // retained facts (pure, no crypto: every check already resolved).
-    for (const auto& [key, st] : pairs_) {
+    // One pass in PairKey order. Each pair's verdict is derived once from
+    // its retained facts (pure, no crypto: every check already resolved);
+    // it closes the pair if it is still open (the implicit final seal) and
+    // is folded into the report.
+    for (auto& [key, st] : pairs_) {
       Outcome out = ComputeVerdictLocked(key, st);
+      if (st.open) ClosePairLocked(st, out, now, flagged);
       if (out.skipped) continue;
       MergeVerdict(report, std::move(out.verdict),
                    MergeSides{st.pub.count > 0, st.sub.count > 0});
     }
-    UpdateGaugesLocked();
+    // Every pair is sealed: the shards' open lists hold only tombstones.
+    for (auto& [shard_key, shard] : shards_) shard.open_pairs.clear();
     // Fleet cross-check over accumulated roots (roots-only: the streaming
-    // auditor holds no record store). Honest fleets contribute nothing, so
-    // the batch byte-identity contract is untouched.
+    // auditor holds no record store). Honest fleets contribute nothing.
     if (options_.seal_key.has_value() && !replica_roots_.empty()) {
       std::vector<ReplicaEvidence> fleet;
       fleet.reserve(replica_roots_.size());
@@ -481,13 +485,6 @@ StreamingStats StreamingAuditor::Stats() const {
   s.open_shards = open_shards_;
   s.unresolved_checks = unresolved_checks_;
   return s;
-}
-
-void StreamingAuditor::UpdateGaugesLocked() {
-  obs::metric::StreamingOpenPairs().Set(
-      static_cast<std::int64_t>(open_pairs_));
-  obs::metric::StreamingOpenShards().Set(
-      static_cast<std::int64_t>(open_shards_));
 }
 
 void StreamingAuditor::FireCallbacks(std::vector<FlaggedVerdict> flagged) {

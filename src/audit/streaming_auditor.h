@@ -3,18 +3,22 @@
 // topic) shard state machines with bounded memory, feeds outstanding
 // signature checks into VerifyDigestBatch in chunks, and finalizes verdicts
 // per epoch — so a lying component is flagged while the fleet is still
-// running instead of at end-of-run.
+// running instead of at end-of-run. It is the only audit driver:
+// Auditor::Audit replays a stored log through it with no intermediate
+// seals.
 //
-// The load-bearing invariant: Finalize()'s report is byte-identical to the
-// batch Auditor's report over the same entries and topology (any arrival
-// order, any epoch schedule, any eviction pressure). It holds because
-//  - every arriving entry is reduced immediately to the same compact facts
-//    the batch decision tree consumes (counts, first-entry identities,
-//    payload hashes, message stamps, check outcomes), and
-//  - the verdict is computed by the SAME code (audit/pair_eval.h
-//    DecideStructural + FinalizePairPlan), re-derived from those facts at
-//    finalize time, so sealing early, re-opening on late arrivals, and
-//    evicting under memory pressure all converge to the batch answer.
+// The load-bearing invariant: Finalize()'s report depends only on the
+// multiset of entries consumed and, within each transmission instance, on
+// their order — not on the epoch schedule, on eviction pressure, or on how
+// entries of different instances interleave. So an online audit ends at
+// the same report as Auditor::Audit over the stored log. It holds because
+//  - every arriving entry is reduced immediately to the compact facts the
+//    decision tree consumes (counts, first-entry identities, payload
+//    hashes, message stamps, check outcomes), and
+//  - the verdict is re-derived from those facts by the same pure code
+//    (audit/pair_eval.h DecideStructural + FinalizePairPlan) at every seal,
+//    so sealing early, re-opening on late arrivals, and evicting under
+//    memory pressure all converge to the seal-free answer.
 //
 // Memory: O(total pairs) compact residue (~250 B/pair: no payloads, no
 // signatures once checks resolve) plus O(open pairs) working state, with
@@ -31,8 +35,8 @@
 //
 // Keys: checks whose signer has no registered key yet stay pending and are
 // re-tried at every flush, so a key that registers later (cross-connection
-// ordering on the live upload path) still lands before Finalize — matching
-// the batch auditor's use of the final keystore state.
+// ordering on the live upload path) still lands before Finalize. A check
+// whose signer never registers is structurally false.
 #pragma once
 
 #include <array>
@@ -42,6 +46,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adlp/epoch.h"
@@ -57,11 +62,11 @@ namespace adlp::audit {
 
 struct StreamingOptions {
   /// Evaluate base-scheme entries too (kUnprovable* findings); mirrors
-  /// AuditorOptions::include_base_scheme for report parity.
+  /// AuditorOptions::include_base_scheme.
   bool include_base_scheme = true;
 
   /// Newly enqueued signature checks that trigger a VerifyDigestBatch
-  /// flush. Matches the batch auditor's 256-pair chunking by default.
+  /// flush.
   std::size_t chunk_checks = 256;
 
   /// Upper bound on simultaneously open (unsealed) pairs; 0 = unbounded.
@@ -76,8 +81,8 @@ struct StreamingOptions {
   /// Fleet sealing key for OnEpochRoot cross-checking. When set and roots
   /// were fed, Finalize() appends replica findings (roots-only checks:
   /// seal signatures, chain linkage, cross-replica equivocation) to the
-  /// report. Honest fleets contribute nothing, preserving the batch
-  /// byte-identity contract.
+  /// report. Honest fleets contribute nothing, so an honest fleet's report
+  /// stays byte-identical to Auditor::Audit's.
   std::optional<crypto::PublicKey> seal_key;
 
   /// Online detection hook: invoked once per pair, at the first seal whose
@@ -103,9 +108,16 @@ class StreamingAuditor {
  public:
   /// `keys` is the (shared, thread-safe) registry checks resolve against —
   /// typically the log server's. `topology` is the manifest, fixed for the
-  /// run like the batch LogDatabase's.
+  /// run.
   StreamingAuditor(const crypto::KeyStore& keys, Topology topology,
                    StreamingOptions options = {});
+
+  /// Gives this auditor's open pairs and shards back to the process-wide
+  /// gauges.
+  ~StreamingAuditor();
+
+  StreamingAuditor(const StreamingAuditor&) = delete;
+  StreamingAuditor& operator=(const StreamingAuditor&) = delete;
 
   /// Consumes one uploaded log entry, in server arrival order. Thread-safe.
   void OnEntry(const proto::LogEntry& entry) EXCLUDES(mu_);
@@ -122,9 +134,8 @@ class StreamingAuditor {
   /// re-audited at the next seal — never silently merged.
   void SealEpoch() EXCLUDES(mu_);
 
-  /// Final seal plus the full report, byte-identical to
-  /// Auditor(keys, {include_base_scheme}).Audit(LogDatabase(entries,
-  /// topology)) over every entry this auditor consumed.
+  /// Final seal plus the full report over every entry this auditor
+  /// consumed, verdicts in PairKey order.
   AuditReport Finalize() EXCLUDES(mu_);
 
   StreamingStats Stats() const EXCLUDES(mu_);
@@ -158,8 +169,15 @@ class StreamingAuditor {
     Bytes cross_signature;
   };
 
-  /// Compact residue of one side of a pair: everything the batch decision
-  /// tree reads from the side's FIRST entry, plus the entry count.
+  /// Hashes of one arriving entry, taken once before it fans out to its
+  /// pairs.
+  struct EntryHashes {
+    std::optional<crypto::Digest> claimed;  // h(D) the entry commits to
+    crypto::Digest data_sha{};              // h(raw data field)
+  };
+
+  /// Compact residue of one side of a pair: everything the decision tree
+  /// reads from the side's FIRST entry, plus the entry count.
   struct SideState {
     std::uint32_t count = 0;
     crypto::ComponentId first_component;
@@ -168,22 +186,20 @@ class StreamingAuditor {
     crypto::Digest payload_hash{};   // h(D) the first entry commits to
     crypto::Digest data_sha{};       // h(raw data field), for base agreement
     Timestamp message_stamp = 0;
+    /// The signed digest h(header || h(D)) under the resolved publisher;
+    /// nullopt when the payload hash is malformed.
+    std::optional<crypto::Digest> digest;
+
+    /// Rebuilds `digest` for `key` under `publisher`.
+    void BindDigest(const PairKey& key, const crypto::ComponentId& publisher);
   };
 
-  struct ShardState {
-    std::uint64_t last_touch = 0;
-    std::size_t open = 0;
-    /// Open-pair keys homed here; entries go stale when a pair seals or
-    /// re-homes (publisher re-resolution) and are skipped on iteration.
-    std::vector<PairKey> open_pairs;
-  };
+  struct ShardState;
 
   struct PairState {
     SideState pub;
     SideState sub;
-    crypto::ComponentId sub_peer;     // first in-entry's recorded peer
     bool sub_data_hash_empty = false; // first in-entry stored raw data
-    bool ack_gate = false;
     crypto::ComponentId publisher;    // resolved publisher (see header)
     bool manifest_publisher = false;  // resolution pinned by the manifest
     std::array<Check, 4> checks{Check::kAbsent, Check::kAbsent,
@@ -196,6 +212,27 @@ class StreamingAuditor {
     bool flagged = false;  // on_finding fired for this pair
     Timestamp first_arrival_ns = 0;
   };
+  /// One node of pairs_. Nodes are never erased, so pointers to them stay
+  /// valid for the auditor's lifetime.
+  using PairEntry = std::pair<const PairKey, PairState>;
+
+  /// All transmission instances between one (publisher, subscriber) pair on
+  /// one topic: the unit eviction seals together.
+  struct ShardKey {
+    crypto::ComponentId publisher;
+    crypto::ComponentId subscriber;
+    std::string topic;
+
+    auto operator<=>(const ShardKey&) const = default;
+  };
+
+  struct ShardState {
+    std::uint64_t last_touch = 0;
+    std::size_t open = 0;
+    /// Open pairs homed here; entries go stale when a pair seals or
+    /// re-homes (publisher re-resolution) and are skipped on iteration.
+    std::vector<PairEntry*> open_pairs;
+  };
 
   struct FlaggedVerdict {
     PairVerdict verdict;
@@ -207,26 +244,28 @@ class StreamingAuditor {
   };
 
   void ApplyLocked(const PairKey& key, const proto::LogEntry& entry,
-                   bool publisher_side, BytesView ack_hash, BytesView ack_sig,
-                   Timestamp now) REQUIRES(mu_);
-  void SetCheckLocked(const PairKey& key, PairState& st, int index,
+                   const EntryHashes& hashes, bool publisher_side,
+                   BytesView ack_hash, BytesView ack_sig, Timestamp now)
+      REQUIRES(mu_);
+  void SetCheckLocked(PairState& st, int index,
                       const std::optional<crypto::Digest>& digest,
                       const crypto::ComponentId& signer, BytesView signature)
       REQUIRES(mu_);
   void RecomputeSubChecksLocked(const PairKey& key, PairState& st)
       REQUIRES(mu_);
-  void OpenPairLocked(const PairKey& key, PairState& st) REQUIRES(mu_);
-  void RehomeLocked(const PairKey& key, PairState& st) REQUIRES(mu_);
+  void OpenPairLocked(PairEntry& pair) REQUIRES(mu_);
+  void RehomeLocked(PairEntry& pair) REQUIRES(mu_);
+  void ShardGainedLocked(ShardState& shard) REQUIRES(mu_);
+  void ShardLostLocked(ShardState& shard) REQUIRES(mu_);
   void FlushLocked() REQUIRES(mu_);
   Outcome ComputeVerdictLocked(const PairKey& key, const PairState& st) const
       REQUIRES(mu_);
-  void SealPairLocked(const PairKey& key, PairState& st, Timestamp now,
-                      std::vector<FlaggedVerdict>& flagged) REQUIRES(mu_);
+  void ClosePairLocked(PairState& st, const Outcome& out, Timestamp now,
+                       std::vector<FlaggedVerdict>& flagged) REQUIRES(mu_);
   void SealShardLocked(ShardState& shard, Timestamp now,
                        std::vector<FlaggedVerdict>& flagged) REQUIRES(mu_);
   void EvictLocked(Timestamp now, std::vector<FlaggedVerdict>& flagged)
       REQUIRES(mu_);
-  void UpdateGaugesLocked() REQUIRES(mu_);
   void FireCallbacks(std::vector<FlaggedVerdict> flagged);
 
   const crypto::KeyStore& keys_;
@@ -239,7 +278,7 @@ class StreamingAuditor {
   std::map<std::string, std::vector<proto::EpochRoot>> replica_roots_
       GUARDED_BY(mu_);
   std::map<ShardKey, ShardState> shards_ GUARDED_BY(mu_);
-  std::vector<PairKey> verify_queue_ GUARDED_BY(mu_);
+  std::vector<PairState*> verify_queue_ GUARDED_BY(mu_);
   std::size_t open_pairs_ GUARDED_BY(mu_) = 0;
   std::size_t open_shards_ GUARDED_BY(mu_) = 0;
   std::size_t unresolved_checks_ GUARDED_BY(mu_) = 0;

@@ -331,7 +331,7 @@ inline Counter& AuditPairsTotal() {
 inline Histogram& AuditShardNs() {
   static Histogram& h = MetricsRegistry::Global().GetHistogram(
       "adlp_audit_shard_ns", {}, {},
-      "Per-shard wall time in the parallel audit path");
+      "Wall time of one topic partition of an audit");
   return h;
 }
 

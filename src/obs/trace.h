@@ -37,7 +37,8 @@ enum class TraceKind : std::uint8_t {
   kReconnect,         // resilient sink re-established its connection
   kConnectFail,       // a connection attempt failed
   kFaultInjected,     // FaultInjectingChannel perturbed a frame
-  kAuditShardStart,   // a parallel audit worker picked up a shard
+  kAuditShardStart,   // an audit started one topic partition (value:
+                      // its entry count)
   kAuditShardFinish,  // ... and finished it
 };
 

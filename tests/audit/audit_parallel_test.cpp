@@ -1,13 +1,15 @@
-// Serial/parallel equivalence: the sharded audit pipeline must be an
-// implementation detail. For clean and fault-injected fleets alike, every
-// {threads} x {cache} configuration must produce an AuditReport whose full
-// JSON rendering (verdicts included) is byte-identical to the serial
-// auditor's, because per-pair evaluation is pure and verdicts are merged in
-// the database's deterministic pair order regardless of which worker
-// evaluated them.
+// Thread-count equivalence: splitting the audit into topic partitions must
+// be an implementation detail. For clean and fault-injected fleets alike,
+// every {threads} x {cache} configuration must produce an AuditReport whose
+// full JSON rendering (verdicts included) is byte-identical to the
+// one-thread audit's, because every transmission instance is decided by
+// one partition's auditor from its own entries, and the partition reports
+// are joined in PairKey order whichever worker produced them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "audit/report_json.h"
 #include "common/thread_pool.h"
 #include "fleet_gen.h"
+#include "obs/instrument.h"
 
 namespace adlp {
 namespace {
@@ -203,20 +206,75 @@ TEST(AuditParallelTest, ExternalCacheReusedAcrossAudits) {
   EXPECT_EQ(cache.Hits(), hits_first + lookups_first);
 }
 
-TEST(AuditParallelTest, ShardsPartitionAllPairs) {
-  const ChainFleet fleet = MakeChainFleet(4, 3);
-  const audit::LogDatabase db(fleet.entries, fleet.topology);
-  std::vector<bool> covered(db.Pairs().size(), false);
-  for (const auto& shard : db.Shards()) {
-    for (const std::size_t index : shard.pair_indices) {
-      ASSERT_LT(index, covered.size());
-      EXPECT_FALSE(covered[index]) << "pair in two shards";
-      covered[index] = true;
+/// Adds topic "fan", published by c0 to both c1 and c2. Each seq is one
+/// publisher entry for both subscribers: aggregated (one AckRecord per
+/// subscriber) or peerless (no ACK at all, so the entry attaches to every
+/// manifest subscriber).
+ChainFleet WithFanOutTopic(ChainFleet fleet, bool aggregated) {
+  const proto::NodeIdentity& pub = fleet.Node(0);
+  const proto::NodeIdentity& sub_a = fleet.Node(1);
+  const proto::NodeIdentity& sub_b = fleet.Node(2);
+  fleet.topology["fan"] = pubsub::Master::TopicInfo{pub.id, {sub_a.id,
+                                                              sub_b.id}};
+  Rng rng(aggregated ? 0xa66 : 0x9ee7);
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    const Bytes data = rng.RandomBytes(16);
+    const Timestamp stamp = static_cast<Timestamp>(s * 1000 + 500);
+    const faults::ForgedPair a =
+        test::MakeFaithfulPair(pub, sub_a, "fan", s, data, stamp);
+    const faults::ForgedPair b =
+        test::MakeFaithfulPair(pub, sub_b, "fan", s, data, stamp);
+    proto::LogEntry out = a.publisher_entry;
+    if (aggregated) {
+      out.acks.push_back({sub_a.id, a.publisher_entry.peer_data_hash,
+                          a.publisher_entry.peer_signature});
+      out.acks.push_back({sub_b.id, b.publisher_entry.peer_data_hash,
+                          b.publisher_entry.peer_signature});
+    }
+    out.peer.clear();
+    out.peer_data_hash.clear();
+    out.peer_signature.clear();
+    fleet.entries.push_back(std::move(out));
+    fleet.entries.push_back(a.subscriber_entry);
+    fleet.entries.push_back(b.subscriber_entry);
+  }
+  return fleet;
+}
+
+TEST(AuditParallelTest, TopicPartitionsMatchOneThread) {
+  std::vector<std::pair<std::string, ChainFleet>> fleets;
+  fleets.emplace_back("one-topic", MakeChainFleet(1, 5, "pt"));
+  fleets.emplace_back("fewer-topics-than-threads", MakeChainFleet(3, 4, "pt"));
+  {
+    ChainFleet fleet = MakeChainFleet(3, 4, "pt");
+    fleet.topology.erase(fleet.Topic(1));
+    fleets.emplace_back("off-manifest-topic", std::move(fleet));
+  }
+  fleets.emplace_back("aggregated",
+                      WithFanOutTopic(MakeChainFleet(3, 3, "pt"), true));
+  fleets.emplace_back("peerless",
+                      WithFanOutTopic(MakeChainFleet(3, 3, "pt"), false));
+
+  for (const auto& [name, fleet] : fleets) {
+    SCOPED_TRACE(name);
+    const audit::LogDatabase db(fleet.entries, fleet.topology);
+    const audit::Auditor auditor(fleet.keys);
+    const std::string one_thread = FullJson(auditor.Audit(db));
+    std::set<std::string> topics;
+    for (const auto& entry : fleet.entries) topics.insert(entry.topic);
+
+    for (std::size_t threads = 1; threads <= 8; ++threads) {
+      audit::AuditOptions exec;
+      exec.threads = threads;
+      const std::uint64_t before = obs::metric::AuditShardNs().Snap().count;
+      EXPECT_EQ(FullJson(auditor.Audit(db, exec)), one_thread)
+          << "diverged at threads=" << threads;
+      // One partition per thread, never more than there are topics.
+      EXPECT_EQ(obs::metric::AuditShardNs().Snap().count - before,
+                std::min(threads, topics.size()))
+          << "threads=" << threads;
     }
   }
-  for (const bool c : covered) EXPECT_TRUE(c);
-  // One shard per (publisher, subscriber, topic) link in the chain.
-  EXPECT_EQ(db.Shards().size(), fleet.links);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/auditor.h"
+#include "pubsub/message.h"
 #include "test_util.h"
 
 namespace adlp::audit {
@@ -72,6 +73,32 @@ TEST(BaseSchemeTest, SubscriberOnlyAlsoUnprovable) {
       OneTopicTopology("image", "pub", {"sub"}));
   EXPECT_EQ(report.verdicts[0].finding, Finding::kUnprovableMissing);
   EXPECT_TRUE(report.unfaithful.empty());
+}
+
+TEST(BaseSchemeTest, PublisherJudgedOnRawDataNotItsHashField) {
+  // Base-scheme consistency compares the data both sides stored. A
+  // publisher entry that also carries a data_hash field is judged on its
+  // raw data, whatever that field claims.
+  const auto keys = NoKeys();
+  const auto topology = OneTopicTopology("image", "pub", {"sub"});
+  proto::LogEntry pub = BaseEntry("pub", proto::Direction::kOut, 1, {1, 2},
+                                  "sub");
+  const crypto::Digest other = pubsub::PayloadHash(Bytes{9, 9});
+  pub.data_hash.assign(other.begin(), other.end());
+  const AuditReport agree = Auditor(keys).Audit(
+      {pub, BaseEntry("sub", proto::Direction::kIn, 1, {1, 2}, "pub")},
+      topology);
+  ASSERT_EQ(agree.verdicts.size(), 1u);
+  EXPECT_EQ(agree.verdicts[0].finding, Finding::kUnprovableConsistent);
+
+  const crypto::Digest same = pubsub::PayloadHash(Bytes{1, 2});
+  pub.data_hash.assign(same.begin(), same.end());
+  pub.data = {3, 4};
+  const AuditReport conflict = Auditor(keys).Audit(
+      {pub, BaseEntry("sub", proto::Direction::kIn, 1, {1, 2}, "pub")},
+      topology);
+  ASSERT_EQ(conflict.verdicts.size(), 1u);
+  EXPECT_EQ(conflict.verdicts[0].finding, Finding::kUnprovableConflict);
 }
 
 TEST(BaseSchemeTest, CanBeExcludedFromAudit) {

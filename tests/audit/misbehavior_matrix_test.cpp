@@ -3,8 +3,8 @@
 // non-colluding component audits to exactly that component — never a
 // faithful one. Each seed randomizes the chain shape, the attacker's
 // position, the fault parameters, AND the audit execution (thread count,
-// memo cache), so the matrix simultaneously exercises the parallel sharded
-// pipeline against the serial semantics it must preserve.
+// memo cache), so the matrix simultaneously exercises the topic-partitioned
+// audit against the one-thread semantics it must preserve.
 #include <gtest/gtest.h>
 
 #include <memory>

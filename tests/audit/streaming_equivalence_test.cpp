@@ -1,13 +1,17 @@
 // The streaming auditor's load-bearing invariant, exercised across the full
-// misbehavior matrix: for every fault class and every seed, the streaming
-// auditor's finalized report is BYTE-identical (rendered JSON, verdict list
-// included) to the batch auditor's report over the same entries and
+// misbehavior matrix: for every fault class and every seed, an online
+// audit's finalized report is BYTE-identical (rendered JSON, verdict list
+// included) to Auditor::Audit's seal-free replay of the same entries and
 // topology — under serial delivery, multi-threaded delivery, perturbed
-// (reordered + duplicated) upload streams, and random epoch schedules.
+// (reordered + duplicated) upload streams, random epoch schedules, and
+// eviction pressure.
 //
-// On top of identity, each misbehaving cell asserts online detection: the
-// offending pair is flagged at an intermediate epoch seal — i.e. while the
-// fleet would still be running — not only at end-of-run finalization.
+// Identity alone would only pin the driver to itself, so every cell is
+// also checked against the paper: the report blames exactly the one
+// unfaithful component (Theorems 1-2). And each misbehaving cell asserts
+// online detection: the offending pair is flagged at an intermediate epoch
+// seal — i.e. while the fleet would still be running — not only at
+// end-of-run finalization.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,14 +41,42 @@ std::string Render(const audit::AuditReport& report) {
   return audit::RenderReportJson(report, json);
 }
 
-std::string BatchJson(const ChainFleet& fleet,
-                      const std::vector<proto::LogEntry>& entries,
-                      std::size_t threads) {
+audit::AuditReport Replay(const ChainFleet& fleet,
+                          const std::vector<proto::LogEntry>& entries,
+                          std::size_t threads) {
   const audit::LogDatabase db(entries, fleet.topology);
   const audit::Auditor auditor(fleet.keys);
   audit::AuditOptions exec;
   exec.threads = threads;
-  return Render(auditor.Audit(db, exec));
+  return auditor.Audit(db, exec);
+}
+
+std::string ReplayJson(const ChainFleet& fleet,
+                       const std::vector<proto::LogEntry>& entries,
+                       std::size_t threads) {
+  return Render(Replay(fleet, entries, threads));
+}
+
+/// The paper's blame property, independent of any audit driver: a fleet
+/// with one unfaithful, non-colluding component blames that component and
+/// no other chain node (Theorems 1-2). An impersonator may also be blamed
+/// under the registered shadow identity it logged as. Clean and
+/// timing-only fleets blame nobody: timestamps are outside the signed
+/// digest.
+void ExpectPaperBlame(const MisbehavedFleet& mf, const std::string& label,
+                      const audit::AuditReport& report) {
+  if (mf.cls == MisbehaviorClass::kClean ||
+      mf.cls == MisbehaviorClass::kTiming) {
+    EXPECT_TRUE(report.unfaithful.empty())
+        << report.unfaithful.size() << " component(s) blamed";
+    return;
+  }
+  EXPECT_TRUE(report.Blames(mf.attacker)) << mf.attacker << " not blamed";
+  for (const auto& id : report.unfaithful) {
+    const bool shadow = mf.cls == MisbehaviorClass::kImpersonation &&
+                        id == label + "-shadow";
+    EXPECT_TRUE(id == mf.attacker || shadow) << "blamed faithful " << id;
+  }
 }
 
 struct StreamRun {
@@ -87,7 +119,7 @@ StreamRun RunStreamingSerial(const ChainFleet& fleet,
 /// Multi-threaded delivery: entries are partitioned by (topic, seq) so each
 /// transmission instance keeps its relative arrival order while different
 /// instances race freely — the strongest concurrency the per-pair fact
-/// model admits while staying comparable to a fixed batch order.
+/// model admits while staying comparable to the replay's log order.
 std::string RunStreamingParallel(const ChainFleet& fleet,
                                  const std::vector<proto::LogEntry>& entries,
                                  std::size_t threads) {
@@ -109,8 +141,9 @@ std::string RunStreamingParallel(const ChainFleet& fleet,
 }
 
 /// Seed-deterministic upload-stream perturbation: bounded-window reorder
-/// plus duplicated frames. The perturbed sequence is what BOTH auditors
-/// consume, modelling a log server that stored exactly this arrival order.
+/// plus duplicated frames. The perturbed sequence is what both the online
+/// audit and the replay consume, modelling a log server that stored exactly
+/// this arrival order.
 std::vector<proto::LogEntry> PerturbStream(std::vector<proto::LogEntry> v,
                                            std::uint64_t seed) {
   Rng rng(seed);
@@ -135,9 +168,12 @@ TEST_P(StreamingEquivalenceTest, MatchesBatchAcrossMisbehaviorMatrix) {
     const MisbehavedFleet mf = MakeMisbehavedFleet(cls, seed);
     const ChainFleet& fleet = mf.fleet;
 
-    // Batch serial is the reference; batch parallel must already match it.
-    const std::string reference = BatchJson(fleet, fleet.entries, 1);
-    EXPECT_EQ(BatchJson(fleet, fleet.entries, 4), reference);
+    // The one-thread replay is the reference, and it must be right by the
+    // paper; the partitioned replay must match it.
+    const audit::AuditReport replay = Replay(fleet, fleet.entries, 1);
+    ExpectPaperBlame(mf, "eq", replay);
+    const std::string reference = Render(replay);
+    EXPECT_EQ(ReplayJson(fleet, fleet.entries, 4), reference);
 
     // Streaming, serial delivery, random epochs: byte-identical, and every
     // misbehaving cell was flagged online (before Finalize).
@@ -157,11 +193,11 @@ TEST_P(StreamingEquivalenceTest, MatchesBatchAcrossMisbehaviorMatrix) {
     EXPECT_EQ(RunStreamingParallel(fleet, fleet.entries, 4), reference);
 
     // Perturbed upload stream (reorder + duplicates): streaming matches the
-    // batch audit of the SAME perturbed order, byte for byte.
+    // replay of the SAME perturbed order, byte for byte.
     const std::vector<proto::LogEntry> perturbed =
         PerturbStream(fleet.entries, seed * 977 + static_cast<int>(cls));
     EXPECT_EQ(RunStreamingSerial(fleet, perturbed, seed ^ 0xabc).json,
-              BatchJson(fleet, perturbed, 1));
+              ReplayJson(fleet, perturbed, 1));
   }
 }
 
@@ -183,8 +219,9 @@ TEST_P(StreamingEquivalenceTest, EvictionPressurePreservesIdentity) {
     }
     const audit::StreamingStats mid = streaming.Stats();
     EXPECT_GT(mid.evicted_pairs, 0u) << "bound never exercised";
-    EXPECT_EQ(Render(streaming.Finalize()),
-              BatchJson(fleet, fleet.entries, 1));
+    const audit::AuditReport report = streaming.Finalize();
+    ExpectPaperBlame(mf, "ev", report);
+    EXPECT_EQ(Render(report), ReplayJson(fleet, fleet.entries, 1));
   }
 }
 

@@ -1,4 +1,4 @@
-// ThreadPool: the reusable worker pool under the sharded audit pipeline.
+// ThreadPool: the reusable worker pool under the topic-partitioned audit.
 #include <gtest/gtest.h>
 
 #include <atomic>

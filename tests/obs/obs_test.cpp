@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "audit/streaming_auditor.h"
 #include "obs/export.h"
 #include "obs/instrument.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "test_util.h"
 
 namespace adlp::obs {
 namespace {
@@ -164,6 +167,60 @@ TEST(MetricsRegistryTest, ResetZeroesInPlaceKeepingHandles) {
   EXPECT_EQ(h.Snap().count, 0u);
   c.Add(1);  // handle still live
   EXPECT_EQ(reg.Snapshot().counters[0].value, 1u);
+}
+
+// --- Streaming auditor gauges ----------------------------------------------
+
+TEST(StreamingGaugeTest, OpenPairsAndShardsSumAcrossAuditors) {
+  Gauge& open_pairs = metric::StreamingOpenPairs();
+  Gauge& open_shards = metric::StreamingOpenShards();
+  const std::int64_t pairs_before = open_pairs.Value();
+  const std::int64_t shards_before = open_shards.Value();
+
+  const proto::NodeIdentity& pub = test::TestIdentity("gauge-pub");
+  const proto::NodeIdentity& sub = test::TestIdentity("gauge-sub");
+  crypto::KeyStore keys;
+  keys.Register(pub.id, pub.keys.pub);
+  keys.Register(sub.id, sub.keys.pub);
+  audit::Topology topology;
+  topology["a"] = pubsub::Master::TopicInfo{pub.id, {sub.id}};
+  topology["b"] = pubsub::Master::TopicInfo{pub.id, {sub.id}};
+  // Two auditors, each holding its pairs open (nothing sealed yet).
+  std::optional<audit::StreamingAuditor> a(std::in_place, keys, topology);
+  std::optional<audit::StreamingAuditor> b(std::in_place, keys, topology);
+  const auto feed = [&](audit::StreamingAuditor& auditor,
+                        const std::string& topic, std::uint64_t seqs) {
+    for (std::uint64_t s = 1; s <= seqs; ++s) {
+      const auto pair = test::MakeFaithfulPair(pub, sub, topic, s, {1, 2});
+      auditor.OnEntry(pair.publisher_entry);
+      auditor.OnEntry(pair.subscriber_entry);
+    }
+  };
+  feed(*a, "a", 3);
+  feed(*b, "b", 2);
+  const auto open_of = [](const audit::StreamingAuditor& auditor) {
+    const audit::StreamingStats stats = auditor.Stats();
+    return std::pair<std::int64_t, std::int64_t>(
+        static_cast<std::int64_t>(stats.open_pairs),
+        static_cast<std::int64_t>(stats.open_shards));
+  };
+  ASSERT_EQ(open_of(*a).first, 3);
+  ASSERT_EQ(open_of(*b).first, 2);
+  EXPECT_EQ(open_pairs.Value() - pairs_before,
+            open_of(*a).first + open_of(*b).first);
+  EXPECT_EQ(open_shards.Value() - shards_before,
+            open_of(*a).second + open_of(*b).second);
+
+  // Finalizing one auditor leaves the survivor's count, not zero.
+  a->Finalize();
+  EXPECT_EQ(open_pairs.Value() - pairs_before, open_of(*b).first);
+  EXPECT_EQ(open_shards.Value() - shards_before, open_of(*b).second);
+
+  // Destroying an auditor gives back what it still held open.
+  b.reset();
+  a.reset();
+  EXPECT_EQ(open_pairs.Value(), pairs_before);
+  EXPECT_EQ(open_shards.Value(), shards_before);
 }
 
 // --- Exporters -------------------------------------------------------------

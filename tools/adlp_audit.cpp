@@ -10,16 +10,17 @@
 // Loads a tamper-evident log file and a system manifest (see
 // examples/investigator for how a system exports them), verifies the
 // records against the file's Merkle root, audits every transmission, and
-// prints either the human-readable report or a JSON exhibit. With --trace,
-// also prints the provenance ancestry of one transmission instance.
+// prints either the human-readable report or a JSON exhibit. The audit
+// replays the entries in file order through the StreamingAuditor with no
+// intermediate seals; --threads N splits that replay into topic partitions
+// audited concurrently. With --trace, also prints the provenance ancestry
+// of one transmission instance.
 //
-// With --streaming, the evidence is replayed through the online
-// StreamingAuditor instead — entries feed in file order, an epoch is sealed
-// every N entries (--epoch, default 256), and each misbehaving pair is
-// announced at the epoch that flags it rather than at the end. The final
-// report is byte-identical to the batch auditor's (that equivalence is the
-// streaming auditor's contract), so exit codes and JSON output carry the
-// same meaning in both modes.
+// With --streaming, the replay seals an epoch every N entries (--epoch,
+// default 256) instead, and each misbehaving pair is announced at the epoch
+// that flags it rather than at the end. Sealing only moves when a finding
+// surfaces, never what it is: the final report is byte-identical in every
+// mode, so exit codes and JSON output carry the same meaning.
 //
 // Each --replica adds another fleet member's log file. The sealed epoch
 // roots of every file (including the primary) are then cross-audited: seal
@@ -218,8 +219,8 @@ int main(int argc, char** argv) {
   const audit::LogDatabase db(std::move(log.entries), manifest.topology);
   audit::AuditReport report;
   if (streaming) {
-    // Online replay: findings are announced at the epoch that seals them,
-    // then the finalized report takes the batch report's place verbatim.
+    // Epoch-sealed replay: findings are announced at the epoch that seals
+    // them, and the finalized report is the seal-free audit's verbatim.
     audit::StreamingOptions options;
     std::size_t epoch = 0;
     if (!json) {
@@ -302,7 +303,7 @@ int main(int argc, char** argv) {
     std::printf("\n%s", graph.RenderAncestry(trace_key).c_str());
   }
 
-  // Dump whatever the audit recorded (shard timings, verify-cache hit
+  // Dump whatever the audit recorded (partition timings, verify-cache hit
   // rate, signature latencies). A `.prom` suffix selects Prometheus text;
   // anything else gets JSON with the event trace appended.
   if (!metrics_out.empty() && !obs::WriteMetricsFile(metrics_out)) {
