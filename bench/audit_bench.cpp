@@ -1,12 +1,11 @@
 // audit_bench — throughput of the offline audit (Auditor::Audit, a replay
 // of the log through StreamingAuditor split into topic partitions) by
-// thread count, with and without the signature-verification memo cache.
+// thread count.
 //
 // Builds a synthetic fleet (a relay chain, every transmission faithfully
-// logged on both sides), audits the resulting LogDatabase under a matrix of
-// {threads} x {cache} configurations, checks that every configuration's
-// report is byte-identical to the serial one, and writes the measurements
-// to BENCH_audit.json.
+// logged on both sides), audits the resulting LogDatabase at each thread
+// count, checks that every thread count's report is byte-identical to the
+// serial one, and writes the measurements to BENCH_audit.json.
 //
 //   audit_bench [--alg rsa|ed25519] [--entries N] [--links L]
 //               [--rsa-bits B] [--reps R] [--max-threads T]
@@ -14,15 +13,15 @@
 //
 // Defaults: 51200 entries over 8 links, 512-bit RSA (the protocol logic is
 // key-size agnostic; --rsa-bits 1024 reproduces the paper's signature
-// sizes at ~4x the verification cost), 3 repetitions per configuration,
+// sizes at ~4x the verification cost), 3 repetitions per thread count,
 // thread counts 1/2/4/8. --alg ed25519 signs the fleet with the
 // lightweight scheme instead, whose verification runs through the
 // combined-equation batch kernel.
 //
-// Every configuration's throughput is also checked against the serial row
-// of the same cache setting: parallel audit must never be slower than
-// serial beyond --min-parallel-ratio (noise tolerance). Two measures keep
-// this gate meaningful rather than flaky on shared or small CI runners:
+// Every thread count's throughput is also checked against the serial row:
+// parallel audit must never be slower than serial beyond
+// --min-parallel-ratio (noise tolerance). Two measures keep this gate
+// meaningful rather than flaky on shared or small CI runners:
 //   - The gate compares best-of-reps throughput (fastest repetition on
 //     both sides) rather than the mean. Contention only ever adds time,
 //     so the fastest sample is the low-noise estimate, and one unlucky
@@ -47,28 +46,20 @@
 #include "audit/log_database.h"
 #include "audit/report_json.h"
 #include "bench_util.h"
-#include "common/thread_pool.h"
 #include "faults/fabricate.h"
 
 using namespace adlp;
 
 namespace {
 
-struct Config {
-  std::size_t threads;
-  bool cache;
-};
-
 struct Measurement {
-  Config config;
+  std::size_t threads = 1;
   double ms_mean = 0.0;
   double entries_per_sec = 0.0;
   double eps_best = 0.0;  // throughput of the fastest repetition
   double speedup = 1.0;
-  std::size_t cache_lookups = 0;
-  std::size_t cache_hits = 0;
   bool identical = true;
-  bool monotone = true;  // not slower than the serial row (same cache)
+  bool monotone = true;  // not slower than the serial row
 };
 
 struct Fleet {
@@ -173,7 +164,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PrintHeader("audit pipeline: threads x verify cache");
+  bench::PrintHeader("audit pipeline: threads");
   if (alg == crypto::SigAlgorithm::kRsaPkcs1Sha256) {
     std::printf("generating fleet: ~%zu entries, %zu links, RSA-%zu ...\n",
                 target_entries, links, rsa_bits);
@@ -184,20 +175,17 @@ int main(int argc, char** argv) {
   const Fleet fleet = BuildFleet(target_entries, links, rsa_bits, alg);
   const audit::LogDatabase db(fleet.entries, fleet.topology);
 
-  std::vector<Config> configs;
-  for (std::size_t t = 1; t <= max_threads; t *= 2) {
-    configs.push_back({t, false});
-    configs.push_back({t, true});
-  }
+  std::vector<std::size_t> thread_counts;
+  for (std::size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
   // Topic partitions of the widest row: one per link, at most one per
   // thread.
-  const std::size_t partitions = std::min(links, configs.back().threads);
+  const std::size_t partitions = std::min(links, thread_counts.back());
   std::printf("database: %zu entries, %zu pairs, %zu topic partitions\n",
               fleet.entries.size(), db.Pairs().size(), partitions);
 
   const audit::Auditor auditor(fleet.keys);
 
-  // Serial reference report: all other configurations must match it
+  // Serial reference report: every thread count must match it
   // byte-for-byte.
   const audit::AuditReport serial_report = auditor.Audit(db);
   const std::string serial_json = audit::RenderReportJson(serial_report);
@@ -213,33 +201,20 @@ int main(int argc, char** argv) {
 
   std::vector<Measurement> results;
   double serial_ms = 0.0;
-  double serial_eps[2] = {0.0, 0.0};  // entries/sec of threads=1, per cache
-  std::printf("\n%8s %6s %12s %14s %10s %10s  %s\n", "threads", "cache",
-              "mean ms", "entries/sec", "speedup", "hit-rate", "identical");
+  double serial_eps = 0.0;  // best-of-reps entries/sec of threads=1
+  std::printf("\n%8s %12s %14s %10s  %s\n", "threads", "mean ms",
+              "entries/sec", "speedup", "identical");
   bench::PrintRule();
-  for (const Config& config : configs) {
-    ThreadPool pool(config.threads);
+  for (const std::size_t threads : thread_counts) {
     audit::AuditOptions exec;
-    exec.threads = config.threads;
-    exec.cache = config.cache;
-    exec.pool = config.threads > 1 ? &pool : nullptr;
+    exec.threads = threads;
 
     Measurement m;
-    m.config = config;
+    m.threads = threads;
     std::string json;
-    // A fresh cache per repetition reproduces the per-call `cache = true`
-    // behavior (and its warm-up cost) rather than benchmarking a pre-warmed
-    // memo table.
-    const std::vector<double> samples =
-        bench::TimeSamplesMs(reps, [&] {
-          crypto::VerifyCache rep_cache;
-          audit::AuditOptions timed = exec;
-          timed.verify_cache = config.cache ? &rep_cache : nullptr;
-          const audit::AuditReport report = auditor.Audit(db, timed);
-          json = audit::RenderReportJson(report);
-          m.cache_lookups = rep_cache.Lookups();
-          m.cache_hits = rep_cache.Hits();
-        });
+    const std::vector<double> samples = bench::TimeSamplesMs(reps, [&] {
+      json = audit::RenderReportJson(auditor.Audit(db, exec));
+    });
     const bench::SampleStats stats = bench::ComputeStats(samples);
     m.ms_mean = stats.mean;
     m.entries_per_sec =
@@ -247,31 +222,23 @@ int main(int argc, char** argv) {
     m.eps_best =
         static_cast<double>(fleet.entries.size()) / (stats.min / 1e3);
     m.identical = (json == serial_json);
-    if (config.threads == 1 && !config.cache) serial_ms = stats.mean;
+    if (threads == 1) serial_ms = stats.mean;
     m.speedup = serial_ms > 0.0 ? serial_ms / stats.mean : 1.0;
-    // Thread-scaling assertion: a parallel configuration must reach at
-    // least min_parallel_ratio of the serial throughput measured under the
-    // same cache setting. Both sides use best-of-reps: scheduler noise on
-    // a shared runner only inflates samples, so the fastest repetition is
-    // the robust estimate, and a single preempted rep cannot fail the
-    // gate. Rows oversubscribing the hardware (threads > cores) cannot be
-    // expected to beat serial, so they are reported but not gated.
-    double& serial_ref = serial_eps[config.cache ? 1 : 0];
-    if (config.threads == 1) {
-      serial_ref = m.eps_best;
-    } else if (serial_ref > 0.0 && config.threads <= hw_threads) {
-      m.monotone = m.eps_best >= min_parallel_ratio * serial_ref;
+    // Thread-scaling assertion: a parallel row must reach at least
+    // min_parallel_ratio of the serial throughput. Both sides use
+    // best-of-reps: scheduler noise on a shared runner only inflates
+    // samples, so the fastest repetition is the robust estimate, and a
+    // single preempted rep cannot fail the gate. Rows oversubscribing the
+    // hardware (threads > cores) cannot be expected to beat serial, so
+    // they are reported but not gated.
+    if (threads == 1) {
+      serial_eps = m.eps_best;
+    } else if (serial_eps > 0.0 && threads <= hw_threads) {
+      m.monotone = m.eps_best >= min_parallel_ratio * serial_eps;
     }
     results.push_back(m);
-    char hit_rate[16] = "-";
-    if (m.cache_lookups > 0) {
-      std::snprintf(hit_rate, sizeof(hit_rate), "%.1f%%",
-                    100.0 * static_cast<double>(m.cache_hits) /
-                        static_cast<double>(m.cache_lookups));
-    }
-    std::printf("%8zu %6s %12.2f %14.0f %9.2fx %10s  %s%s\n", config.threads,
-                config.cache ? "on" : "off", m.ms_mean, m.entries_per_sec,
-                m.speedup, hit_rate, m.identical ? "yes" : "NO (BUG)",
+    std::printf("%8zu %12.2f %14.0f %9.2fx  %s%s\n", threads, m.ms_mean,
+                m.entries_per_sec, m.speedup, m.identical ? "yes" : "NO (BUG)",
                 m.monotone ? "" : "  [SLOWER THAN SERIAL]");
   }
 
@@ -299,8 +266,7 @@ int main(int argc, char** argv) {
   char buf[64];
   for (const Measurement& m : results) {
     e.OpenObject();
-    e.NumberField("threads", m.config.threads);
-    e.Field("cache", m.config.cache ? "true" : "false");
+    e.NumberField("threads", m.threads);
     std::snprintf(buf, sizeof(buf), "%.3f", m.ms_mean);
     e.Field("ms_mean", buf);
     std::snprintf(buf, sizeof(buf), "%.0f", m.entries_per_sec);
@@ -309,8 +275,6 @@ int main(int argc, char** argv) {
     e.Field("entries_per_sec_best", buf);
     std::snprintf(buf, sizeof(buf), "%.3f", m.speedup);
     e.Field("speedup_vs_serial", buf);
-    e.NumberField("cache_lookups", m.cache_lookups);
-    e.NumberField("cache_hits", m.cache_hits);
     e.Field("report_identical", m.identical ? "true" : "false");
     e.Field("monotone_ok", m.monotone ? "true" : "false");
     e.CloseObject();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string_view>
 
 #include "audit/merge.h"
@@ -93,26 +92,16 @@ AuditReport Auditor::Audit(const LogDatabase& db,
   obs::metric::AuditRunsTotal().Add(1);
   obs::metric::AuditPairsTotal().Add(db.Pairs().size());
 
-  crypto::VerifyCache cache_storage;
-  crypto::VerifyCache* cache = exec.verify_cache != nullptr
-                                   ? exec.verify_cache
-                                   : (exec.cache ? &cache_storage : nullptr);
-  const std::size_t cache_lookups_before = cache ? cache->Lookups() : 0;
-  const std::size_t cache_hits_before = cache ? cache->Hits() : 0;
-
   StreamingOptions replay;
   replay.include_base_scheme = options_.include_base_scheme;
   replay.chunk_checks = kReplayChunkChecks;
-  replay.verify_cache = cache;
 
-  const std::size_t workers =
-      exec.pool != nullptr ? exec.pool->ThreadCount() : exec.threads;
   const std::vector<std::vector<const proto::LogEntry*>> parts =
-      PartitionByTopic(db.RawEntries(), workers);
+      PartitionByTopic(db.RawEntries(), exec.threads);
   std::vector<AuditReport> reports(parts.size());
   // Each partition is a seal-free replay: entries in log order, then the
-  // final seal. Partitions share only the thread-safe keystore and memo
-  // cache, and each writes its own report slot.
+  // final seal. Partitions share only the thread-safe keystore, and each
+  // writes its own report slot.
   const auto replay_part = [&](std::size_t p) {
     obs::TraceLog::Global().Record(obs::TraceKind::kAuditShardStart, "",
                                    parts[p].size());
@@ -128,22 +117,13 @@ AuditReport Auditor::Audit(const LogDatabase& db,
   if (parts.size() == 1) {
     replay_part(0);
   } else {
-    std::optional<ThreadPool> local_pool;
-    ThreadPool* pool = exec.pool;
-    if (pool == nullptr) pool = &local_pool.emplace(parts.size());
+    ThreadPool pool(parts.size());
     for (std::size_t p = 0; p < parts.size(); ++p) {
-      pool->Submit([&replay_part, p] { replay_part(p); });
+      pool.Submit([&replay_part, p] { replay_part(p); });
     }
-    pool->Wait();
+    pool.Wait();
   }
   AuditReport report = MergeReports(std::move(reports));
-
-  if (cache != nullptr) {
-    obs::metric::VerifyCacheLookupsTotal().Add(cache->Lookups() -
-                                               cache_lookups_before);
-    obs::metric::VerifyCacheHitsTotal().Add(cache->Hits() -
-                                            cache_hits_before);
-  }
   obs::metric::AuditWallNs().Record(
       static_cast<std::uint64_t>(MonotonicNowNs() - wall_start));
   return report;

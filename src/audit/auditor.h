@@ -19,13 +19,8 @@
 #include "audit/log_database.h"
 #include "audit/verdict.h"
 #include "crypto/keystore.h"
-#include "crypto/sig.h"
 
-namespace adlp {
-
-class ThreadPool;
-
-namespace audit {
+namespace adlp::audit {
 
 struct AuditorOptions {
   /// Evaluate base-scheme entries too (produces kUnprovable* findings that
@@ -38,27 +33,9 @@ struct AuditorOptions {
 /// partition reports are joined in one deterministic order (see merge.h).
 struct AuditOptions {
   /// Worker threads: the log is split into min(threads, distinct topics)
-  /// topic partitions audited concurrently. <= 1 audits in the calling
-  /// thread.
+  /// topic partitions audited concurrently on a pool made for the call.
+  /// <= 1 audits in the calling thread.
   std::size_t threads = 1;
-
-  /// Memoize signature verifications keyed by (public key, digest,
-  /// signature). Sound because verification is a pure function of that
-  /// triple (see crypto::VerifyCache); profitable because ADLP verifies
-  /// every acknowledgement signature twice (once in each side's entry).
-  bool cache = false;
-
-  /// Optional externally owned pool to reuse across audits (amortizes
-  /// thread spawn cost for fleet-scale audits); its thread count then takes
-  /// the place of `threads`. When null and threads > 1, a pool is created
-  /// for the single call.
-  ThreadPool* pool = nullptr;
-
-  /// Optional externally owned memo cache, reused across audits (useful for
-  /// incremental re-audits of a growing log, and for reading hit/lookup
-  /// statistics afterwards). Implies `cache`; when null and `cache` is
-  /// true, a per-call cache is used.
-  crypto::VerifyCache* verify_cache = nullptr;
 };
 
 class Auditor {
@@ -82,5 +59,4 @@ class Auditor {
   AuditorOptions options_;
 };
 
-}  // namespace audit
-}  // namespace adlp
+}  // namespace adlp::audit

@@ -15,10 +15,9 @@ using proto::LogEntry;
 using proto::LogScheme;
 
 StreamingAuditor::StreamingAuditor(const crypto::KeyStore& keys,
-                                   Topology topology, StreamingOptions options)
-    : keys_(keys),
-      topology_(std::move(topology)),
-      options_(std::move(options)) {}
+                                   Topology topology,
+                                   const StreamingOptions& options)
+    : keys_(keys), topology_(std::move(topology)), options_(options) {}
 
 StreamingAuditor::~StreamingAuditor() {
   MutexLock lock(mu_);
@@ -268,7 +267,9 @@ void StreamingAuditor::FlushLocked() {
 
   // Each signer's key is looked up once per flush. Requests reference the
   // specs' owned signatures and the keys in this map (node-based: stable
-  // addresses) — alive until the batch call returns.
+  // addresses) — alive until the batch call returns. One key object per
+  // signer is what lets VerifyDigestBatch's identity dedup verify a
+  // signature that both sides' entries carry once.
   std::map<crypto::ComponentId, std::optional<crypto::PublicKey>> signer_keys;
   std::vector<crypto::VerifyRequest> requests;
   struct Slot {
@@ -296,7 +297,7 @@ void StreamingAuditor::FlushLocked() {
 
   if (!requests.empty()) {
     const std::vector<std::uint8_t> results =
-        crypto::VerifyDigestBatch(requests, options_.verify_cache);
+        crypto::VerifyDigestBatch(requests);
     for (std::size_t i = 0; i < slots.size(); ++i) {
       PairState& st = *slots[i].st;
       const auto index = static_cast<std::size_t>(slots[i].index);

@@ -75,9 +75,6 @@ struct StreamingOptions {
   /// late arrivals, so the bound never costs report fidelity.
   std::size_t max_open_pairs = 0;
 
-  /// Optional externally owned verification memo cache.
-  crypto::VerifyCache* verify_cache = nullptr;
-
   /// Fleet sealing key for OnEpochRoot cross-checking. When set and roots
   /// were fed, Finalize() appends replica findings (roots-only checks:
   /// seal signatures, chain linkage, cross-replica equivocation) to the
@@ -110,7 +107,7 @@ class StreamingAuditor {
   /// typically the log server's. `topology` is the manifest, fixed for the
   /// run.
   StreamingAuditor(const crypto::KeyStore& keys, Topology topology,
-                   StreamingOptions options = {});
+                   const StreamingOptions& options = {});
 
   /// Gives this auditor's open pairs and shards back to the process-wide
   /// gauges.

@@ -1,13 +1,11 @@
-// Reusable fixed-size worker pool for embarrassingly parallel audit and
-// crypto work.
+// Fixed-size worker pool for the topic-partitioned audit (Auditor::Audit
+// makes one per call with one worker per partition).
 //
 // Design goals, in order: (1) deterministic shutdown — the destructor joins
-// every worker, so a pool can live on the stack of a bench or test; (2) a
-// cheap Wait() barrier so one pool outlives many fan-out rounds (the audit
-// pipeline reuses a single pool across shard batches instead of paying
-// thread spawn/join per audit); (3) no task-level futures — submitters that
-// need results write into caller-owned slots, which keeps the hot path free
-// of per-task allocation beyond the std::function itself.
+// every worker, so a pool can live on the caller's stack; (2) a cheap
+// Wait() barrier after each fan-out round; (3) no task-level futures —
+// submitters that need results write into caller-owned slots, which keeps
+// the hot path free of per-task allocation beyond the std::function itself.
 #pragma once
 
 #include <cstddef>
@@ -67,24 +65,6 @@ class ThreadPool {
   void Wait() EXCLUDES(mu_) {
     MutexLock lock(mu_);
     while (outstanding_ != 0) idle_cv_.Wait(lock);
-  }
-
-  /// Runs `fn(begin, end)` over [0, n) split into contiguous blocks, one
-  /// task per worker, and waits for completion. Block boundaries depend
-  /// only on (n, ThreadCount()), never on scheduling, so any
-  /// order-sensitive caller can reproduce the partition.
-  template <typename Fn>
-  void ParallelFor(std::size_t n, Fn&& fn) {
-    if (n == 0) return;
-    const std::size_t blocks = std::min(n, ThreadCount());
-    const std::size_t chunk = (n + blocks - 1) / blocks;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t begin = b * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      Submit([&fn, begin, end] { fn(begin, end); });
-    }
-    Wait();
   }
 
  private:

@@ -52,13 +52,4 @@ bool Pkcs1Verify(const RsaPublicKey& key, const Digest& digest,
   return ConstantTimeEqual(m.ToBytesBEPadded(k), em);
 }
 
-Bytes Pkcs1SignData(const RsaPrivateKey& key, BytesView data) {
-  return Pkcs1Sign(key, Sha256Digest(data));
-}
-
-bool Pkcs1VerifyData(const RsaPublicKey& key, BytesView data,
-                     BytesView signature) {
-  return Pkcs1Verify(key, Sha256Digest(data), signature);
-}
-
 }  // namespace adlp::crypto

@@ -24,9 +24,4 @@ Bytes Pkcs1Sign(const RsaPrivateKey& key, const Digest& digest);
 bool Pkcs1Verify(const RsaPublicKey& key, const Digest& digest,
                  BytesView signature);
 
-/// Convenience: sign/verify `h(data)` in one call.
-Bytes Pkcs1SignData(const RsaPrivateKey& key, BytesView data);
-bool Pkcs1VerifyData(const RsaPublicKey& key, BytesView data,
-                     BytesView signature);
-
 }  // namespace adlp::crypto

@@ -147,30 +147,4 @@ Digest Sha256Digest2(BytesView a, BytesView b) {
 
 Bytes DigestBytes(const Digest& d) { return Bytes(d.begin(), d.end()); }
 
-Digest HmacSha256(BytesView key, BytesView data) {
-  std::uint8_t k[64] = {};
-  if (key.size() > 64) {
-    const Digest kd = Sha256Digest(key);
-    std::memcpy(k, kd.data(), kd.size());
-  } else if (!key.empty()) {  // empty view may carry data() == nullptr
-    std::memcpy(k, key.data(), key.size());
-  }
-
-  std::uint8_t ipad[64], opad[64];
-  for (int i = 0; i < 64; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-  }
-
-  Sha256 inner;
-  inner.Update(BytesView(ipad, 64));
-  inner.Update(data);
-  const Digest inner_digest = inner.Finish();
-
-  Sha256 outer;
-  outer.Update(BytesView(opad, 64));
-  outer.Update(BytesView(inner_digest.data(), inner_digest.size()));
-  return outer.Finish();
-}
-
 }  // namespace adlp::crypto

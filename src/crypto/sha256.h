@@ -2,7 +2,7 @@
 //
 // This is the hash `h(.)` of the paper: preimage- and collision-resistant,
 // 32-byte digest. Used for message digests, PKCS#1 v1.5 signatures, the
-// subscriber's stored `h(I_y)`, HMAC, and the trusted logger's Merkle tree.
+// subscriber's stored `h(I_y)`, and the trusted logger's Merkle tree.
 #pragma once
 
 #include <array>
@@ -45,8 +45,5 @@ Digest Sha256Digest2(BytesView a, BytesView b);
 
 /// Digest as an owning byte vector (convenience for wire/log code).
 Bytes DigestBytes(const Digest& d);
-
-/// HMAC-SHA-256 (RFC 2104); substrate for MAC-based tamper-evident logging.
-Digest HmacSha256(BytesView key, BytesView data);
 
 }  // namespace adlp::crypto

@@ -1,5 +1,10 @@
 #include "crypto/sig.h"
 
+#include <algorithm>
+#include <functional>
+#include <string_view>
+#include <unordered_map>
+
 #include "crypto/pkcs1.h"
 #include "wire/wire.h"
 
@@ -96,148 +101,78 @@ Bytes SerializePublicKey(const PublicKey& key) {
 
 namespace {
 
-/// Memo key: SHA-256 over the three verification inputs. The key encoding
-/// is length-prefixed so a (key, digest, sig) triple can never alias a
-/// different split of the same concatenated bytes (the digest is
-/// fixed-width, but the key encoding is not).
-Digest MemoKey(const PublicKey& key, const Digest& digest, BytesView sig) {
-  const Bytes key_bytes = SerializePublicKey(key);
-  Sha256 h;
-  const std::uint64_t key_len = key_bytes.size();
-  h.Update(BytesView(reinterpret_cast<const std::uint8_t*>(&key_len),
-                     sizeof(key_len)));
-  h.Update(key_bytes);
-  h.Update(BytesView(digest.data(), digest.size()));
-  h.Update(sig);
-  return h.Finish();
-}
+/// In-batch dedup: two requests are one triple when they name the same key
+/// object and carry equal digest and signature bytes. The key pointer is
+/// the key's identity for the length of one VerifyDigestBatch call.
+struct TripleHash {
+  std::size_t operator()(const VerifyRequest* r) const {
+    const auto bytes = [](BytesView b) {
+      const std::string_view view(reinterpret_cast<const char*>(b.data()),
+                                  b.size());
+      return std::hash<std::string_view>{}(view);
+    };
+    std::size_t h = std::hash<const PublicKey*>{}(r->key);
+    h = h * 31 + bytes(BytesView(r->digest.data(), r->digest.size()));
+    return h * 31 + bytes(r->signature);
+  }
+};
 
-/// First 8 bytes of a SHA-256 memo key are already uniform.
-struct MemoKeyHash {
-  std::size_t operator()(const Digest& d) const {
-    std::size_t h = 0;
-    for (std::size_t i = 0; i < sizeof(h); ++i) h = (h << 8) | d[i];
-    return h;
+struct SameTriple {
+  bool operator()(const VerifyRequest* a, const VerifyRequest* b) const {
+    return a->key == b->key && a->digest == b->digest &&
+           std::ranges::equal(a->signature, b->signature);
   }
 };
 
 }  // namespace
 
-VerifyCache::VerifyCache() {
-  shards_.reserve(kShards);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-bool VerifyCache::Verify(const PublicKey& key, const Digest& digest,
-                         BytesView signature) {
-  const Digest memo = MemoKey(key, digest, signature);
-  if (const std::optional<bool> hit = Lookup(memo)) return *hit;
-  // Verify outside the shard lock: a second thread racing on the same triple
-  // redundantly verifies (harmless, same pure result) instead of serializing
-  // every other triple in the shard behind one modexp.
-  const bool ok = VerifyDigest(key, digest, signature);
-  Store(memo, ok);
-  return ok;
-}
-
-std::optional<bool> VerifyCache::Lookup(const Digest& memo) {
-  Shard& shard = *shards_[memo[0] % kShards];
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(shard.mu);
-  const auto it = shard.results.find(memo);
-  if (it == shard.results.end()) return std::nullopt;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-void VerifyCache::Store(const Digest& memo, bool ok) {
-  Shard& shard = *shards_[memo[0] % kShards];
-  MutexLock lock(shard.mu);
-  shard.results.emplace(memo, ok);
-}
-
-std::size_t VerifyCache::Size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    n += shard->results.size();
-  }
-  return n;
-}
-
 std::vector<std::uint8_t> VerifyDigestBatch(
-    const std::vector<VerifyRequest>& requests, VerifyCache* cache) {
-  std::vector<std::uint8_t> results(requests.size(), 0);
-
-  // Pass 1 — dedup by memo key and resolve cache hits. Each distinct
-  // (key, digest, signature) triple gets one slot; only the first
-  // occurrence consults the shared cache.
-  struct Slot {
-    std::size_t first;  // canonical request index for this triple
-    Digest memo;
-    int result = -1;  // -1 = needs verification
-  };
-  std::vector<Slot> slots;
-  slots.reserve(requests.size());
-  std::unordered_map<Digest, std::size_t, MemoKeyHash> slot_of;
+    const std::vector<VerifyRequest>& requests) {
+  // Pass 1 — dedup. Each distinct triple gets one slot, named by the index
+  // of its first request.
+  std::vector<std::size_t> slot_first;
+  slot_first.reserve(requests.size());
+  std::unordered_map<const VerifyRequest*, std::size_t, TripleHash, SameTriple>
+      slot_of;
   slot_of.reserve(requests.size());
   constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   std::vector<std::size_t> request_slot(requests.size(), kNoSlot);
-
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const VerifyRequest& req = requests[i];
     if (req.key == nullptr || req.signature.empty()) continue;
-    const Digest memo = MemoKey(*req.key, req.digest, req.signature);
-    const auto [it, fresh] = slot_of.try_emplace(memo, slots.size());
-    if (fresh) {
-      Slot slot{i, memo, -1};
-      if (cache != nullptr) {
-        if (const std::optional<bool> hit = cache->Lookup(memo)) {
-          slot.result = *hit ? 1 : 0;
-        }
-      }
-      slots.push_back(slot);
-    }
+    const auto [it, fresh] = slot_of.try_emplace(&req, slot_first.size());
+    if (fresh) slot_first.push_back(i);
     request_slot[i] = it->second;
   }
 
-  // Pass 2 — group the unresolved slots by algorithm. Ed25519 goes through
+  // Pass 2 — verify each slot, grouped by algorithm. Ed25519 goes through
   // the combined-equation batch kernel; RSA keeps the per-signature path
   // (paper parity — its verification is a cheap public-exponent modexp).
+  std::vector<std::uint8_t> slot_ok(slot_first.size(), 0);
   std::vector<std::size_t> ed_slots;
-  for (Slot& slot : slots) {
-    if (slot.result != -1) continue;
-    const VerifyRequest& req = requests[slot.first];
+  std::vector<Ed25519BatchItem> ed_items;
+  for (std::size_t s = 0; s < slot_first.size(); ++s) {
+    const VerifyRequest& req = requests[slot_first[s]];
     if (req.key->alg == SigAlgorithm::kEd25519) {
-      ed_slots.push_back(&slot - slots.data());
+      ed_slots.push_back(s);
+      ed_items.push_back({&req.key->ed25519,
+                          BytesView(req.digest.data(), req.digest.size()),
+                          req.signature});
       continue;
     }
-    slot.result = VerifyDigest(*req.key, req.digest, req.signature) ? 1 : 0;
-    if (cache != nullptr) cache->Store(slot.memo, slot.result == 1);
+    slot_ok[s] = VerifyDigest(*req.key, req.digest, req.signature) ? 1 : 0;
   }
-  if (!ed_slots.empty()) {
-    std::vector<Ed25519BatchItem> items;
-    items.reserve(ed_slots.size());
-    for (const std::size_t s : ed_slots) {
-      const VerifyRequest& req = requests[slots[s].first];
-      items.push_back({&req.key->ed25519,
-                       BytesView(req.digest.data(), req.digest.size()),
-                       req.signature});
-    }
-    const std::vector<std::uint8_t> verdicts = Ed25519VerifyBatch(items);
+  if (!ed_items.empty()) {
+    const std::vector<std::uint8_t> verdicts = Ed25519VerifyBatch(ed_items);
     for (std::size_t j = 0; j < ed_slots.size(); ++j) {
-      Slot& slot = slots[ed_slots[j]];
-      slot.result = verdicts[j];
-      if (cache != nullptr) cache->Store(slot.memo, slot.result == 1);
+      slot_ok[ed_slots[j]] = verdicts[j];
     }
   }
 
   // Pass 3 — fan slot verdicts out to every request.
+  std::vector<std::uint8_t> results(requests.size(), 0);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (request_slot[i] == kNoSlot) continue;
-    results[i] = slots[request_slot[i]].result == 1 ? 1 : 0;
+    if (request_slot[i] != kNoSlot) results[i] = slot_ok[request_slot[i]];
   }
   return results;
 }

@@ -15,16 +15,10 @@
 // h(header || h(D)).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/rng.h"
 #include "crypto/ed25519.h"
 #include "crypto/rsa.h"
@@ -78,67 +72,6 @@ bool VerifyDigest(const PublicKey& key, const Digest& digest,
 Bytes SerializePublicKey(const PublicKey& key);
 PublicKey ParsePublicKey(BytesView data);  // throws wire::WireError
 
-/// Thread-safe memoization cache for VerifyDigest.
-///
-/// Soundness: verification is a pure function of (public key, digest,
-/// signature); the memo key is the SHA-256 of exactly those three inputs
-/// (wire-encoded key, so algorithm and parameters are covered). Memoizing
-/// therefore cannot mask a forgery — a signature that differs in even one
-/// bit, or the same signature checked under a different key or digest,
-/// hashes to a different memo slot and is verified from scratch. Hitting a
-/// stored `false` for a now-valid triple is equally impossible for the same
-/// reason. The only way a wrong cached verdict could surface is a SHA-256
-/// collision between two distinct triples, which is already a break of the
-/// protocol's hash assumptions.
-///
-/// The map is sharded by the first memo-key byte so concurrent audit
-/// workers rarely contend on one mutex.
-class VerifyCache {
- public:
-  VerifyCache();
-
-  VerifyCache(const VerifyCache&) = delete;
-  VerifyCache& operator=(const VerifyCache&) = delete;
-
-  /// VerifyDigest with memoization.
-  bool Verify(const PublicKey& key, const Digest& digest, BytesView signature);
-
-  /// Batch-path primitives keyed by a precomputed memo key (the SHA-256
-  /// over the wire-encoded key, digest, and signature). VerifyDigestBatch
-  /// uses these to resolve cache hits up front and store batch-kernel
-  /// verdicts afterwards; a Lookup counts toward Lookups()/Hits() exactly
-  /// like a Verify.
-  std::optional<bool> Lookup(const Digest& memo);
-  void Store(const Digest& memo, bool ok);
-
-  std::size_t Lookups() const { return lookups_.load(); }
-  std::size_t Hits() const { return hits_.load(); }
-  /// Distinct (key, digest, signature) triples verified so far.
-  std::size_t Size() const;
-
- private:
-  static constexpr std::size_t kShards = 16;
-
-  struct DigestHash {
-    std::size_t operator()(const Digest& d) const {
-      std::size_t h = 0;
-      for (std::size_t i = 0; i < sizeof(h); ++i) {
-        h = (h << 8) | d[i];
-      }
-      return h;
-    }
-  };
-
-  struct Shard {
-    Mutex mu;
-    std::unordered_map<Digest, bool, DigestHash> results GUARDED_BY(mu);
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> lookups_{0};
-  std::atomic<std::size_t> hits_{0};
-};
-
 /// One verification for VerifyDigestBatch. `key == nullptr` (unregistered
 /// component) fails verification, mirroring the auditor's treatment of
 /// missing keys.
@@ -148,19 +81,21 @@ struct VerifyRequest {
   BytesView signature;
 };
 
-/// Verifies a batch of requests. Duplicate (key, digest, signature) triples
-/// inside the batch are verified once and fanned out — with RSA-1024 that
-/// turns the auditor's two checks of every acknowledgement signature (once
-/// in the publisher's entry, once in the subscriber's) into one modexp.
-/// With `cache` non-null, results are also memoized across batches.
+/// Verifies a batch of requests. A (key, digest, signature) triple repeated
+/// inside the batch is verified once and its verdict goes to every copy —
+/// with RSA-1024 that turns the auditor's two checks of every
+/// acknowledgement signature (once in the publisher's entry, once in the
+/// subscriber's) into one modexp. Triples match by key identity: the same
+/// `key` pointer plus equal digest and signature bytes. A caller that wants
+/// repeats verified once passes one PublicKey object per signer; two
+/// distinct key objects are never merged, even with equal contents.
 ///
-/// After dedup and cache resolution the remaining requests are grouped by
-/// algorithm: Ed25519 requests go through Ed25519VerifyBatch (one combined
-/// linear-combination equation for the whole group, with per-signature
-/// fallback on rejection), while RSA keeps the per-signature path for
-/// parity with the paper's prototype. Results are identical to calling
-/// VerifyDigest on every request.
+/// The distinct triples are grouped by algorithm: Ed25519 requests go
+/// through Ed25519VerifyBatch (one combined linear-combination equation for
+/// the whole group, with per-signature fallback on rejection), while RSA
+/// keeps the per-signature path for parity with the paper's prototype.
+/// Results are identical to calling VerifyDigest on every request.
 std::vector<std::uint8_t> VerifyDigestBatch(
-    const std::vector<VerifyRequest>& requests, VerifyCache* cache = nullptr);
+    const std::vector<VerifyRequest>& requests);
 
 }  // namespace adlp::crypto

@@ -341,20 +341,6 @@ inline Histogram& AuditWallNs() {
   return h;
 }
 
-inline Counter& VerifyCacheLookupsTotal() {
-  static Counter& c = MetricsRegistry::Global().GetCounter(
-      "adlp_verify_cache_lookups_total", {},
-      "Signature verifications answered via the memo cache (lookups)");
-  return c;
-}
-
-inline Counter& VerifyCacheHitsTotal() {
-  static Counter& c = MetricsRegistry::Global().GetCounter(
-      "adlp_verify_cache_hits_total", {},
-      "Signature verifications answered via the memo cache (hits)");
-  return c;
-}
-
 // --- streaming audit --------------------------------------------------------
 
 inline Counter& StreamingEntriesTotal() {

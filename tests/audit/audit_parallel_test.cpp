@@ -1,10 +1,10 @@
 // Thread-count equivalence: splitting the audit into topic partitions must
 // be an implementation detail. For clean and fault-injected fleets alike,
-// every {threads} x {cache} configuration must produce an AuditReport whose
-// full JSON rendering (verdicts included) is byte-identical to the
-// one-thread audit's, because every transmission instance is decided by
-// one partition's auditor from its own entries, and the partition reports
-// are joined in PairKey order whichever worker produced them.
+// every thread count must produce an AuditReport whose full JSON rendering
+// (verdicts included) is byte-identical to the one-thread audit's, because
+// every transmission instance is decided by one partition's auditor from
+// its own entries, and the partition reports are joined in PairKey order
+// whichever worker produced them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "adlp/protocols.h"
 #include "audit/auditor.h"
 #include "audit/report_json.h"
-#include "common/thread_pool.h"
 #include "fleet_gen.h"
 #include "obs/instrument.h"
 
@@ -103,16 +102,12 @@ TEST(AuditParallelTest, EveryConfigurationMatchesSerialByteForByte) {
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
-      for (const bool cache : {false, true}) {
-        audit::AuditOptions exec;
-        exec.threads = threads;
-        exec.cache = cache;
-        const audit::AuditReport report = auditor.Audit(db, exec);
-        EXPECT_EQ(FullJson(report), serial_json)
-            << name << " diverged at threads=" << threads
-            << " cache=" << cache;
-        EXPECT_EQ(report.unfaithful, serial.unfaithful) << name;
-      }
+      audit::AuditOptions exec;
+      exec.threads = threads;
+      const audit::AuditReport report = auditor.Audit(db, exec);
+      EXPECT_EQ(FullJson(report), serial_json)
+          << name << " diverged at threads=" << threads;
+      EXPECT_EQ(report.unfaithful, serial.unfaithful) << name;
     }
   }
 }
@@ -121,7 +116,7 @@ TEST(AuditParallelTest, Ed25519FleetMatchesSerialByteForByte) {
   // Lightweight-crypto fleet: every verification runs through the Ed25519
   // combined-equation batch kernel, including one tampered signature that
   // exercises the per-signature fallback. Serial and parallel reports must
-  // still be byte-identical under every configuration.
+  // still be byte-identical at every thread count.
   Rng rng(0xed255);
   std::vector<proto::NodeIdentity> ids;
   crypto::KeyStore keys;
@@ -156,54 +151,11 @@ TEST(AuditParallelTest, Ed25519FleetMatchesSerialByteForByte) {
 
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (const bool cache : {false, true}) {
-      audit::AuditOptions exec;
-      exec.threads = threads;
-      exec.cache = cache;
-      EXPECT_EQ(FullJson(auditor.Audit(db, exec)), serial_json)
-          << "ed25519 diverged at threads=" << threads << " cache=" << cache;
-    }
-  }
-}
-
-TEST(AuditParallelTest, ExternalPoolReusedAcrossAudits) {
-  ThreadPool pool(4);
-  for (const auto& [name, fleet] : Scenarios()) {
-    const audit::LogDatabase db(fleet.entries, fleet.topology);
-    const audit::Auditor auditor(fleet.keys);
-    const std::string serial_json = FullJson(auditor.Audit(db));
-
     audit::AuditOptions exec;
-    exec.threads = 4;
-    exec.pool = &pool;
-    EXPECT_EQ(FullJson(auditor.Audit(db, exec)), serial_json) << name;
+    exec.threads = threads;
+    EXPECT_EQ(FullJson(auditor.Audit(db, exec)), serial_json)
+        << "ed25519 diverged at threads=" << threads;
   }
-}
-
-TEST(AuditParallelTest, ExternalCacheReusedAcrossAudits) {
-  const ChainFleet fleet = MakeChainFleet(3, 4);
-  const audit::LogDatabase db(fleet.entries, fleet.topology);
-  const audit::Auditor auditor(fleet.keys);
-  const std::string serial_json = FullJson(auditor.Audit(db));
-
-  crypto::VerifyCache cache;
-  audit::AuditOptions exec;
-  exec.threads = 2;
-  exec.verify_cache = &cache;
-
-  EXPECT_EQ(FullJson(auditor.Audit(db, exec)), serial_json);
-  const std::size_t lookups_first = cache.Lookups();
-  const std::size_t hits_first = cache.Hits();
-  const std::size_t distinct = cache.Size();
-  EXPECT_GT(lookups_first, 0u);
-  EXPECT_GT(distinct, 0u);
-
-  // A re-audit of the same database hits the memo table for every lookup
-  // and creates no new entries — and still reproduces the same report.
-  EXPECT_EQ(FullJson(auditor.Audit(db, exec)), serial_json);
-  EXPECT_EQ(cache.Size(), distinct);
-  EXPECT_EQ(cache.Lookups(), 2 * lookups_first);
-  EXPECT_EQ(cache.Hits(), hits_first + lookups_first);
 }
 
 /// Adds topic "fan", published by c0 to both c1 and c2. Each seq is one

@@ -2,9 +2,9 @@
 // every fault class and every seed, a fleet with ONE unfaithful
 // non-colluding component audits to exactly that component — never a
 // faithful one. Each seed randomizes the chain shape, the attacker's
-// position, the fault parameters, AND the audit execution (thread count,
-// memo cache), so the matrix simultaneously exercises the topic-partitioned
-// audit against the one-thread semantics it must preserve.
+// position, the fault parameters, AND the audit's thread count, so the
+// matrix simultaneously exercises the topic-partitioned audit against the
+// one-thread semantics it must preserve.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,14 +36,13 @@ class MisbehaviorMatrixTest : public ::testing::TestWithParam<std::uint64_t> {
     return MakeChainFleet(links, seqs);
   }
 
-  /// Audits under a seed-randomized execution configuration: every matrix
-  /// cell doubles as a serial/parallel interchangeability check.
+  /// Audits with a seed-randomized thread count: every matrix cell doubles
+  /// as a serial/parallel interchangeability check.
   audit::AuditReport AuditFleet(const ChainFleet& fleet, Rng& rng) const {
     const audit::LogDatabase db(fleet.entries, fleet.topology);
     const audit::Auditor auditor(fleet.keys);
     audit::AuditOptions exec;
     exec.threads = 1 + rng.UniformBelow(8);
-    exec.cache = rng.Chance(0.5);
     return auditor.Audit(db, exec);
   }
 

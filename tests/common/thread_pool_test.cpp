@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
-#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -44,31 +43,6 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   pool.Submit([&ran] { ran = true; });
   pool.Wait();
   EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(hits.size(), [&hits](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
-  ThreadPool pool(4);
-  pool.ParallelFor(0, [](std::size_t, std::size_t) {
-    FAIL() << "called on empty range";
-  });
-}
-
-TEST(ThreadPoolTest, ParallelForFewerItemsThanThreads) {
-  ThreadPool pool(8);
-  std::atomic<int> count{0};
-  pool.ParallelFor(3, [&count](std::size_t begin, std::size_t end) {
-    count.fetch_add(static_cast<int>(end - begin));
-  });
-  EXPECT_EQ(count.load(), 3);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {

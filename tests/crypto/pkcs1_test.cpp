@@ -43,55 +43,57 @@ TEST(EmsaPkcs1Test, TooShortThrows) {
 
 TEST(Pkcs1Test, SignVerifyRoundTrip) {
   const Bytes msg = BytesOf("the quick brown fox");
-  const Bytes sig = Pkcs1SignData(KeyA().priv, msg);
+  const Bytes sig = Pkcs1Sign(KeyA().priv, Sha256Digest(msg));
   EXPECT_EQ(sig.size(), KeyA().pub.ModulusBytes());
-  EXPECT_TRUE(Pkcs1VerifyData(KeyA().pub, msg, sig));
+  EXPECT_TRUE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), sig));
 }
 
 TEST(Pkcs1Test, SignatureIsDeterministic) {
   const Bytes msg = BytesOf("deterministic");
-  EXPECT_EQ(Pkcs1SignData(KeyA().priv, msg), Pkcs1SignData(KeyA().priv, msg));
+  EXPECT_EQ(Pkcs1Sign(KeyA().priv, Sha256Digest(msg)),
+            Pkcs1Sign(KeyA().priv, Sha256Digest(msg)));
 }
 
 TEST(Pkcs1Test, TamperedMessageRejected) {
   Bytes msg = BytesOf("important payload");
-  const Bytes sig = Pkcs1SignData(KeyA().priv, msg);
+  const Bytes sig = Pkcs1Sign(KeyA().priv, Sha256Digest(msg));
   msg[0] ^= 1;
-  EXPECT_FALSE(Pkcs1VerifyData(KeyA().pub, msg, sig));
+  EXPECT_FALSE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), sig));
 }
 
 TEST(Pkcs1Test, TamperedSignatureRejected) {
   const Bytes msg = BytesOf("payload");
-  Bytes sig = Pkcs1SignData(KeyA().priv, msg);
+  Bytes sig = Pkcs1Sign(KeyA().priv, Sha256Digest(msg));
   for (std::size_t pos : {0u, 31u, 63u}) {
     Bytes bad = sig;
     bad[pos] ^= 0x80;
-    EXPECT_FALSE(Pkcs1VerifyData(KeyA().pub, msg, bad)) << "pos " << pos;
+    EXPECT_FALSE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), bad))
+        << "pos " << pos;
   }
 }
 
 TEST(Pkcs1Test, WrongKeyRejected) {
   const Bytes msg = BytesOf("payload");
-  const Bytes sig = Pkcs1SignData(KeyA().priv, msg);
-  EXPECT_FALSE(Pkcs1VerifyData(KeyB().pub, msg, sig));
+  const Bytes sig = Pkcs1Sign(KeyA().priv, Sha256Digest(msg));
+  EXPECT_FALSE(Pkcs1Verify(KeyB().pub, Sha256Digest(msg), sig));
 }
 
 TEST(Pkcs1Test, WrongLengthSignatureRejected) {
   const Bytes msg = BytesOf("payload");
-  Bytes sig = Pkcs1SignData(KeyA().priv, msg);
+  Bytes sig = Pkcs1Sign(KeyA().priv, Sha256Digest(msg));
   sig.pop_back();
-  EXPECT_FALSE(Pkcs1VerifyData(KeyA().pub, msg, sig));
+  EXPECT_FALSE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), sig));
   sig.push_back(0);
   sig.push_back(0);
-  EXPECT_FALSE(Pkcs1VerifyData(KeyA().pub, msg, sig));
-  EXPECT_FALSE(Pkcs1VerifyData(KeyA().pub, msg, Bytes{}));
+  EXPECT_FALSE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), sig));
+  EXPECT_FALSE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), Bytes{}));
 }
 
 TEST(Pkcs1Test, SignatureRepresentativeAboveModulusRejected) {
   const Bytes msg = BytesOf("payload");
   // All-0xff signature encodes a value >= n.
   const Bytes huge(KeyA().pub.ModulusBytes(), 0xff);
-  EXPECT_FALSE(Pkcs1VerifyData(KeyA().pub, msg, huge));
+  EXPECT_FALSE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), huge));
 }
 
 TEST(Pkcs1Test, RandomSignatureRejected) {
@@ -100,28 +102,20 @@ TEST(Pkcs1Test, RandomSignatureRejected) {
   for (int i = 0; i < 10; ++i) {
     Bytes random_sig = rng.RandomBytes(KeyA().pub.ModulusBytes());
     random_sig[0] = 0;  // keep the representative below n
-    EXPECT_FALSE(Pkcs1VerifyData(KeyA().pub, msg, random_sig));
+    EXPECT_FALSE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), random_sig));
   }
 }
 
-TEST(Pkcs1Test, DigestApiMatchesDataApi) {
-  const Bytes msg = BytesOf("either api");
-  const Digest d = Sha256Digest(msg);
-  const Bytes sig = Pkcs1Sign(KeyA().priv, d);
-  EXPECT_EQ(sig, Pkcs1SignData(KeyA().priv, msg));
-  EXPECT_TRUE(Pkcs1Verify(KeyA().pub, d, sig));
-}
-
 TEST(Pkcs1Test, EmptyMessageSignable) {
-  const Bytes sig = Pkcs1SignData(KeyA().priv, {});
-  EXPECT_TRUE(Pkcs1VerifyData(KeyA().pub, {}, sig));
+  const Bytes sig = Pkcs1Sign(KeyA().priv, Sha256Digest({}));
+  EXPECT_TRUE(Pkcs1Verify(KeyA().pub, Sha256Digest({}), sig));
 }
 
 TEST(Pkcs1Test, LargeMessageSignable) {
   Rng rng(10);
   const Bytes msg = rng.RandomBytes(1 << 20);  // 1 MiB (Image-scale)
-  const Bytes sig = Pkcs1SignData(KeyA().priv, msg);
-  EXPECT_TRUE(Pkcs1VerifyData(KeyA().pub, msg, sig));
+  const Bytes sig = Pkcs1Sign(KeyA().priv, Sha256Digest(msg));
+  EXPECT_TRUE(Pkcs1Verify(KeyA().pub, Sha256Digest(msg), sig));
 }
 
 }  // namespace

@@ -33,9 +33,9 @@ TEST_P(RsaParamTest, SignVerifyRoundTrip) {
   Rng rng(1);
   for (int i = 0; i < 5; ++i) {
     const Bytes msg = rng.RandomBytes(64 + i * 100);
-    const Bytes sig = Pkcs1SignData(kp.priv, msg);
+    const Bytes sig = Pkcs1Sign(kp.priv, Sha256Digest(msg));
     EXPECT_EQ(sig.size(), kp.pub.ModulusBytes());
-    EXPECT_TRUE(Pkcs1VerifyData(kp.pub, msg, sig));
+    EXPECT_TRUE(Pkcs1Verify(kp.pub, Sha256Digest(msg), sig));
   }
 }
 
@@ -43,9 +43,9 @@ TEST_P(RsaParamTest, TamperDetected) {
   const auto& kp = Key(GetParam());
   Rng rng(2);
   Bytes msg = rng.RandomBytes(128);
-  Bytes sig = Pkcs1SignData(kp.priv, msg);
+  Bytes sig = Pkcs1Sign(kp.priv, Sha256Digest(msg));
   msg[17] ^= 1;
-  EXPECT_FALSE(Pkcs1VerifyData(kp.pub, msg, sig));
+  EXPECT_FALSE(Pkcs1Verify(kp.pub, Sha256Digest(msg), sig));
 }
 
 TEST_P(RsaParamTest, CrtConsistency) {
@@ -70,8 +70,8 @@ TEST_P(RsaParamTest, CrossSizeSignaturesRejected) {
   const std::size_t other_bits = GetParam() == 1536 ? 512 : 1536;
   const auto& other = Key(other_bits);
   const Bytes msg = BytesOf("cross");
-  const Bytes sig = Pkcs1SignData(other.priv, msg);
-  EXPECT_FALSE(Pkcs1VerifyData(kp.pub, msg, sig));
+  const Bytes sig = Pkcs1Sign(other.priv, Sha256Digest(msg));
+  EXPECT_FALSE(Pkcs1Verify(kp.pub, Sha256Digest(msg), sig));
 }
 
 TEST_P(RsaParamTest, TooSmallModulusCannotHoldTheEncoding) {
@@ -79,7 +79,8 @@ TEST_P(RsaParamTest, TooSmallModulusCannotHoldTheEncoding) {
   // byte) modulus must be rejected at signing time, not truncated.
   Rng rng(6);
   const RsaKeyPair tiny = GenerateRsaKeyPair(rng, 256);
-  EXPECT_THROW(Pkcs1SignData(tiny.priv, BytesOf("x")), std::length_error);
+  EXPECT_THROW(Pkcs1Sign(tiny.priv, Sha256Digest(BytesOf("x"))),
+               std::length_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(KeySizes, RsaParamTest,

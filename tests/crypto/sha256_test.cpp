@@ -90,41 +90,5 @@ TEST(Sha256Test, DigestBytesCopiesAll32) {
   EXPECT_TRUE(std::equal(b.begin(), b.end(), d.begin()));
 }
 
-// RFC 4231 test vectors.
-TEST(HmacSha256Test, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  const Digest mac = HmacSha256(key, BytesOf("Hi There"));
-  EXPECT_EQ(HexDigest(mac),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-}
-
-TEST(HmacSha256Test, Rfc4231Case2) {
-  const Digest mac =
-      HmacSha256(BytesOf("Jefe"), BytesOf("what do ya want for nothing?"));
-  EXPECT_EQ(HexDigest(mac),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(HmacSha256Test, Rfc4231Case3) {
-  const Bytes key(20, 0xaa);
-  const Bytes data(50, 0xdd);
-  EXPECT_EQ(HexDigest(HmacSha256(key, data)),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
-}
-
-TEST(HmacSha256Test, LongKeyIsHashedFirst) {
-  // RFC 4231 case 6: 131-byte key.
-  const Bytes key(131, 0xaa);
-  const Digest mac = HmacSha256(
-      key, BytesOf("Test Using Larger Than Block-Size Key - Hash Key First"));
-  EXPECT_EQ(HexDigest(mac),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
-}
-
-TEST(HmacSha256Test, KeySensitivity) {
-  const Bytes data = BytesOf("payload");
-  EXPECT_NE(HmacSha256(BytesOf("k1"), data), HmacSha256(BytesOf("k2"), data));
-}
-
 }  // namespace
 }  // namespace adlp::crypto

@@ -4,10 +4,7 @@
 #include "crypto/sig.h"
 
 #include <gtest/gtest.h>
-#include <atomic>
 #include <map>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "wire/wire.h"
@@ -114,97 +111,6 @@ TEST(SigCrossTest, AlgorithmNames) {
   EXPECT_EQ(SigAlgorithmName(SigAlgorithm::kEd25519), "ed25519");
 }
 
-TEST(VerifyCacheTest, AgreesWithDirectVerification) {
-  Rng rng(3);
-  const SigKeyPair kp =
-      GenerateSigKeyPair(rng, SigAlgorithm::kRsaPkcs1Sha256, 512);
-  const Digest digest = Sha256Digest(BytesOf("memo"));
-  const Bytes good = SignDigest(kp.priv, digest);
-  Bytes bad = good;
-  bad[0] ^= 0x01;
-
-  VerifyCache cache;
-  EXPECT_TRUE(cache.Verify(kp.pub, digest, good));
-  EXPECT_FALSE(cache.Verify(kp.pub, digest, bad));
-  // Memoized answers are stable, including the negative one: a cached
-  // "forged" stays forged.
-  EXPECT_TRUE(cache.Verify(kp.pub, digest, good));
-  EXPECT_FALSE(cache.Verify(kp.pub, digest, bad));
-  EXPECT_EQ(cache.Size(), 2u);
-  EXPECT_EQ(cache.Lookups(), 4u);
-  EXPECT_EQ(cache.Hits(), 2u);
-}
-
-TEST(VerifyCacheTest, DistinguishesKeyDigestAndSignature) {
-  Rng rng(4);
-  const SigKeyPair a =
-      GenerateSigKeyPair(rng, SigAlgorithm::kRsaPkcs1Sha256, 512);
-  const SigKeyPair b =
-      GenerateSigKeyPair(rng, SigAlgorithm::kRsaPkcs1Sha256, 512);
-  const Digest d1 = Sha256Digest(BytesOf("d1"));
-  const Digest d2 = Sha256Digest(BytesOf("d2"));
-  const Bytes sig_a1 = SignDigest(a.priv, d1);
-
-  VerifyCache cache;
-  EXPECT_TRUE(cache.Verify(a.pub, d1, sig_a1));
-  // Same signature under a different key or digest is a distinct triple and
-  // must re-verify to false, not hit the cached true.
-  EXPECT_FALSE(cache.Verify(b.pub, d1, sig_a1));
-  EXPECT_FALSE(cache.Verify(a.pub, d2, sig_a1));
-  EXPECT_EQ(cache.Size(), 3u);
-  EXPECT_EQ(cache.Hits(), 0u);
-}
-
-TEST(VerifyCacheTest, MemoKeyDomainSeparatesAlgorithm) {
-  // Regression guard: the memo key hashes the wire-encoded public key,
-  // whose first field is the algorithm tag. Two keys identical in every
-  // byte of key material but differing in `alg` must occupy distinct memo
-  // slots — a cached Ed25519 "valid" may never answer for the same bytes
-  // reinterpreted under another algorithm.
-  Rng rng(9);
-  const SigKeyPair ed = GenerateSigKeyPair(rng, SigAlgorithm::kEd25519);
-  const Digest digest = Sha256Digest(BytesOf("alg-domain"));
-  const Bytes sig = SignDigest(ed.priv, digest);
-
-  PublicKey cross = ed.pub;
-  cross.alg = SigAlgorithm::kRsaPkcs1Sha256;  // same struct bytes, other alg
-
-  VerifyCache cache;
-  EXPECT_TRUE(cache.Verify(ed.pub, digest, sig));
-  EXPECT_FALSE(cache.Verify(cross, digest, sig));
-  EXPECT_EQ(cache.Size(), 2u) << "triples collided across algorithms";
-  EXPECT_EQ(cache.Hits(), 0u);
-}
-
-TEST(VerifyCacheTest, ConcurrentLookupsConverge) {
-  Rng rng(5);
-  const SigKeyPair kp =
-      GenerateSigKeyPair(rng, SigAlgorithm::kRsaPkcs1Sha256, 512);
-  constexpr std::size_t kTriples = 8;
-  std::vector<Digest> digests;
-  std::vector<Bytes> sigs;
-  for (std::size_t i = 0; i < kTriples; ++i) {
-    digests.push_back(Sha256Digest(BytesOf("t" + std::to_string(i))));
-    sigs.push_back(SignDigest(kp.priv, digests.back()));
-  }
-
-  VerifyCache cache;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int round = 0; round < 8; ++round) {
-        for (std::size_t i = 0; i < kTriples; ++i) {
-          if (!cache.Verify(kp.pub, digests[i], sigs[i])) failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(cache.Size(), kTriples);
-}
-
 TEST(VerifyBatchTest, MatchesIndividualVerification) {
   Rng rng(6);
   const SigKeyPair kp =
@@ -268,25 +174,64 @@ TEST(VerifyBatchTest, MixedAlgorithmBatchGroupsCorrectly) {
   }
 }
 
-TEST(VerifyBatchTest, SharesAnExternalCache) {
-  Rng rng(7);
-  const SigKeyPair kp =
-      GenerateSigKeyPair(rng, SigAlgorithm::kRsaPkcs1Sha256, 512);
-  const Digest digest = Sha256Digest(BytesOf("shared"));
-  const Bytes sig = SignDigest(kp.priv, digest);
+TEST(VerifyBatchTest, DedupKeySeparatesAlgorithm) {
+  // Regression guard for the in-batch dedup key: two key objects equal in
+  // every byte of key material but differing in `alg` are two keys. An
+  // Ed25519 "valid" may never answer for the same bytes reinterpreted
+  // under another algorithm.
+  Rng rng(9);
+  const SigKeyPair ed = GenerateSigKeyPair(rng, SigAlgorithm::kEd25519);
+  const Digest digest = Sha256Digest(BytesOf("alg-domain"));
+  const Bytes sig = SignDigest(ed.priv, digest);
 
-  VerifyCache cache;
-  std::vector<VerifyRequest> requests(3, VerifyRequest{&kp.pub, digest, sig});
-  const std::vector<std::uint8_t> first = VerifyDigestBatch(requests, &cache);
-  EXPECT_EQ(first, (std::vector<std::uint8_t>{1, 1, 1}));
-  // In-batch dedup means only the first occurrence consulted the cache.
-  EXPECT_EQ(cache.Lookups(), 1u);
-  EXPECT_EQ(cache.Size(), 1u);
+  PublicKey cross = ed.pub;
+  cross.alg = SigAlgorithm::kRsaPkcs1Sha256;  // same key bytes, other alg
 
-  // A second batch hits the shared cache instead of re-verifying.
-  const std::vector<std::uint8_t> second = VerifyDigestBatch(requests, &cache);
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(cache.Hits(), 1u);
+  const std::vector<VerifyRequest> requests{{&ed.pub, digest, sig},
+                                            {&cross, digest, sig}};
+  EXPECT_EQ(VerifyDigestBatch(requests), (std::vector<std::uint8_t>{1, 0}))
+      << "a verdict crossed algorithms";
+}
+
+TEST(VerifyBatchTest, SignatureVerifiesOnlyUnderItsOwnKey) {
+  // One signature checked under two keys in one batch is two triples: the
+  // other key's check must not borrow the signer's verdict.
+  for (const SigAlgorithm alg :
+       {SigAlgorithm::kRsaPkcs1Sha256, SigAlgorithm::kEd25519}) {
+    Rng rng(4);
+    const SigKeyPair a = GenerateSigKeyPair(rng, alg, 512);
+    const SigKeyPair b = GenerateSigKeyPair(rng, alg, 512);
+    const Digest digest = Sha256Digest(BytesOf("own-key"));
+    const Bytes sig = SignDigest(a.priv, digest);
+
+    const std::vector<VerifyRequest> requests{{&a.pub, digest, sig},
+                                              {&b.pub, digest, sig}};
+    EXPECT_EQ(VerifyDigestBatch(requests), (std::vector<std::uint8_t>{1, 0}))
+        << SigAlgorithmName(alg);
+  }
+}
+
+TEST(VerifyBatchTest, EqualKeysInDistinctObjectsBothVerify) {
+  // The dedup key is the key object's identity, so two equal keys held in
+  // two objects may be verified separately. Both must still get the right
+  // verdicts.
+  for (const SigAlgorithm alg :
+       {SigAlgorithm::kRsaPkcs1Sha256, SigAlgorithm::kEd25519}) {
+    Rng rng(10);
+    const SigKeyPair kp = GenerateSigKeyPair(rng, alg, 512);
+    const PublicKey copy = kp.pub;
+    const Digest digest = Sha256Digest(BytesOf("equal-keys"));
+    const Bytes sig = SignDigest(kp.priv, digest);
+    Bytes forged = sig;
+    forged[0] ^= 0x01;
+
+    const std::vector<VerifyRequest> requests{{&kp.pub, digest, sig},
+                                              {&copy, digest, sig},
+                                              {&copy, digest, forged}};
+    EXPECT_EQ(VerifyDigestBatch(requests),
+              (std::vector<std::uint8_t>{1, 1, 0}))
+        << SigAlgorithmName(alg);
+  }
 }
 
 }  // namespace

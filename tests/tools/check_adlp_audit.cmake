@@ -6,8 +6,8 @@
 # examples/investigator runs the self-driving app with a planner that
 # falsifies its logged plans, and exports incident.adlplog and
 # system.manifest. adlp_audit then audits that evidence three ways: with
-# one thread, with four threads and the verify cache, and as a streaming
-# replay sealing every 7 entries. Each run must exit 1 (the planner is
+# one thread, with four threads, and as a streaming replay sealing every 7
+# entries. Each run must exit 1 (the planner is
 # blamed) and all three must print byte-identical JSON.
 
 file(REMOVE_RECURSE "${WORKDIR}")
@@ -36,13 +36,13 @@ function(run_audit out_var)
 endfunction()
 
 run_audit(one_thread --threads 1)
-run_audit(four_threads --threads 4 --cache)
+run_audit(four_threads --threads 4)
 run_audit(streaming --streaming --epoch 7)
 if(NOT one_thread MATCHES "\"planner\"")
   message(FATAL_ERROR "the report does not name the planner:\n${one_thread}")
 endif()
 if(NOT four_threads STREQUAL one_thread)
-  message(FATAL_ERROR "--threads 4 --cache output differs from --threads 1")
+  message(FATAL_ERROR "--threads 4 output differs from --threads 1")
 endif()
 if(NOT streaming STREQUAL one_thread)
   message(FATAL_ERROR "--streaming --epoch 7 output differs from --threads 1")

@@ -1,7 +1,7 @@
 // adlp_audit — command-line auditor for exported evidence.
 //
 //   adlp_audit <log-file> <manifest-file> [--json] [--verdicts]
-//              [--threads N] [--cache] [--metrics-out FILE]
+//              [--threads N] [--metrics-out FILE]
 //              [--streaming] [--epoch N]
 //              [--replica FILE]... [--replica-addr HOST:PORT]...
 //              [--seal-key-seed N]
@@ -73,7 +73,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: adlp_audit <log-file> <manifest-file> [--json] "
-               "[--verdicts] [--threads N] [--cache] [--metrics-out FILE] "
+               "[--verdicts] [--threads N] [--metrics-out FILE] "
                "[--streaming] [--epoch N] "
                "[--replica FILE]... [--replica-addr HOST:PORT]... "
                "[--seal-key-seed N] "
@@ -126,8 +126,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       exec.threads = std::strtoull(argv[++i], nullptr, 10);
       if (exec.threads == 0) return Usage();
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
-      exec.cache = true;
     } else if (std::strcmp(argv[i], "--streaming") == 0) {
       streaming = true;
     } else if (std::strcmp(argv[i], "--epoch") == 0 && i + 1 < argc) {
@@ -303,8 +301,8 @@ int main(int argc, char** argv) {
     std::printf("\n%s", graph.RenderAncestry(trace_key).c_str());
   }
 
-  // Dump whatever the audit recorded (partition timings, verify-cache hit
-  // rate, signature latencies). A `.prom` suffix selects Prometheus text;
+  // Dump whatever the audit recorded (partition timings, signature
+  // latencies). A `.prom` suffix selects Prometheus text;
   // anything else gets JSON with the event trace appended.
   if (!metrics_out.empty() && !obs::WriteMetricsFile(metrics_out)) {
     std::fprintf(stderr, "adlp_audit: cannot write metrics to %s\n",

@@ -60,7 +60,6 @@ def check_audit(doc, name):
     for i, result in enumerate(results):
         where = f"{name}.results[{i}]"
         require(result, "threads", int, where)
-        require(result, "cache", bool, where)
         for field in ("ms_mean", "entries_per_sec", "speedup_vs_serial"):
             value = require(result, field, (int, float), where)
             if value <= 0:
@@ -74,8 +73,6 @@ def check_audit(doc, name):
             raise SchemaError(
                 f"{where}: 'entries_per_sec_best' must be positive, got {best}"
             )
-        require(result, "cache_lookups", int, where)
-        require(result, "cache_hits", int, where)
         if not require(result, "report_identical", bool, where):
             raise SchemaError(f"{where}: parallel report diverged from serial")
         if not require(result, "monotone_ok", bool, where):
@@ -305,7 +302,7 @@ def check_repair(doc, name):
 # Schema name -> (row key fields, gated metrics). Each metric is
 # (field, direction): "up" = higher is better, "down" = lower is better.
 COMPARE_SPECS = {
-    "audit_bench": (("threads", "cache"), (("entries_per_sec", "up"),)),
+    "audit_bench": (("threads",), (("entries_per_sec", "up"),)),
     "obs_bench": (("name",), (("ns_per_record", "down"),)),
     "scale_bench": (("subs", "mode"), (("deliveries_per_sec", "up"),)),
     # Detection-latency absolutes are machine-dependent; the latency *ratio*
