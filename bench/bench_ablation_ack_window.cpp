@@ -5,6 +5,11 @@
 // the ACK for seq (window = 1), paying one round-trip per message. A wider
 // window pipelines transmissions. With a simulated 2 ms one-way link delay,
 // per-message time should approach (RTT / window) + processing.
+//
+// Two gates, exit status 1 when either fails:
+//   * window 1 runs at no more than 1.1 / RTT = 275 msg/s. Both legs must pay
+//     their delay; an ACK leg that skipped it would read about 500 msg/s.
+//   * window 8 runs at least 2x window 1: the window pipelines.
 #include <atomic>
 
 #include "bench_util.h"
@@ -54,9 +59,11 @@ int main(int argc, char** argv) {
   std::printf("%-8s | %-14s | %s\n", "window", "msgs/sec", "speedup vs w=1");
   PrintRule(48);
   double w1 = 0.0;
+  double w8 = 0.0;
   for (std::size_t window : {1u, 2u, 4u, 8u}) {
     const double rate = MessagesPerSecond(window, messages);
     if (window == 1) w1 = rate;
+    if (window == 8) w8 = rate;
     std::printf("%-8zu | %12.1f   | %.2fx\n", window, rate, rate / w1);
   }
   PrintRule(48);
@@ -67,5 +74,16 @@ int main(int argc, char** argv) {
       "paper's window-1\n"
       "penalty is the price of its per-message accountability "
       "acknowledgement.\n");
-  return 0;
+  constexpr double kMaxWindow1Rate = 1.1 / 0.004;  // 1.1 / RTT
+  bool ok = true;
+  if (w1 > kMaxWindow1Rate) {
+    std::printf("FAIL: window 1 ran %.1f msg/s, above %.1f: a link leg "
+                "skipped its delay\n", w1, kMaxWindow1Rate);
+    ok = false;
+  }
+  if (w8 < 2.0 * w1) {
+    std::printf("FAIL: window 8 ran %.2fx window 1, below 2x\n", w8 / w1);
+    ok = false;
+  }
+  return ok ? 0 : 1;
 }

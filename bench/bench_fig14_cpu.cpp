@@ -2,8 +2,8 @@
 // 20 Hz) as the number of Image subscribers grows, comparing No-Logging,
 // Base Logging, and ADLP.
 //
-// The publisher-attributable CPU (encode/sign + connection threads +
-// logging thread) is measured with per-thread CPU clocks. Shapes to
+// The publisher-attributable CPU (encode/sign + publisher links on the
+// reactor + logging thread) is measured with per-thread CPU clocks. Shapes to
 // reproduce:
 //   * Base - None grows ~linearly with subscriber count (per-link copies and
 //     per-subscriber log entries);

@@ -161,14 +161,6 @@ std::optional<crypto::Digest> LogServer::MerkleRootAt(
   return tree_.RootAt(size);
 }
 
-bool LogServer::NoteUploadSeq(const std::string& sink_id, std::uint64_t seq) {
-  MutexLock lock(mu_);
-  std::uint64_t& watermark = upload_watermarks_[sink_id];
-  if (seq <= watermark) return false;
-  watermark = seq;
-  return true;
-}
-
 LogServer::UploadSeqOutcome LogServer::NoteUploadSeqGapChecked(
     const std::string& sink_id, std::uint64_t seq) {
   MutexLock lock(mu_);

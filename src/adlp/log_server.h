@@ -124,15 +124,13 @@ class LogServer final : public LogSink {
   const crypto::PublicKey& SealKey() const { return seal_keys_.pub; }
 
   // --- Replicated upload dedup ---
-  /// Records that upload `seq` from `sink_id` is being applied. Returns
-  /// false when the (cumulatively acked) sequence was already applied —
-  /// the caller must skip the frame. Sound because each sink's frames
-  /// arrive FIFO per connection and a reconnect replays from the first
-  /// unacked frame in order, so "seq <= watermark" exactly identifies
-  /// retransmissions.
-  bool NoteUploadSeq(const std::string& sink_id, std::uint64_t seq);
-  /// NoteUploadSeq with gap detection: kGap (watermark untouched) when
-  /// `seq` skips past watermark + 1. A gap means the uploader's spool
+  /// Records that upload `seq` from `sink_id` is being applied. kDuplicate
+  /// when the (cumulatively acked) sequence was already applied — the
+  /// caller must skip the frame. Sound because each sink's frames arrive
+  /// FIFO per connection and a reconnect replays from the first unacked
+  /// frame in order, so "seq <= watermark" exactly identifies
+  /// retransmissions. kGap (watermark untouched) when `seq` skips past
+  /// watermark + 1. A gap means the uploader's spool
   /// evicted unacked frames past its horizon — applying the frame anyway
   /// would append out of order and the replica's log would stop being a
   /// prefix of the fleet's, making Merkle-consistency-gated repair

@@ -27,13 +27,10 @@ void LoggingThread::Run() {
   while (auto entry = queue_.Pop()) {
     obs::metric::LogQueueDepth().Sub(1);
     cpu.Tick();  // queue handling is the component's cost...
-    const Timestamp sink_start = ThreadCpuNowNs();
     sink_.Append(*entry);
-    // ...but serialization/chaining/storage inside the sink is the trusted
-    // logger's cost (a remote server in the paper's deployment), so it is
-    // accounted separately and not billed to the component.
-    sink_cpu_ns_.fetch_add(ThreadCpuNowNs() - sink_start,
-                           std::memory_order_relaxed);
+    // ...but serialization/storage inside the sink is the trusted logger's
+    // cost (a remote server in the paper's deployment), so it is not billed
+    // to the component.
     cpu.Discard();
     {
       MutexLock lock(flush_mu_);

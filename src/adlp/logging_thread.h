@@ -40,13 +40,9 @@ class LoggingThread final : public LogPipe {
 
   /// CPU time consumed by the worker on the component's behalf (queue
   /// handling). Time spent inside the sink is the trusted logger's and is
-  /// reported by SinkCpuTimeNs().
+  /// not counted.
   std::int64_t CpuTimeNs() const {
     return cpu_ns_.load(std::memory_order_relaxed);
-  }
-
-  std::int64_t SinkCpuTimeNs() const {
-    return sink_cpu_ns_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -59,7 +55,6 @@ class LoggingThread final : public LogPipe {
 
   std::atomic<std::uint64_t> entered_{0};
   std::atomic<Timestamp> cpu_ns_{0};
-  std::atomic<Timestamp> sink_cpu_ns_{0};
   Mutex flush_mu_;
   CondVar flush_cv_;
   std::uint64_t processed_ GUARDED_BY(flush_mu_) = 0;

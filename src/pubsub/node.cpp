@@ -47,30 +47,25 @@ struct InFlightQueue {
   }
 };
 
-/// Closes a link's publication queue and frees what it still holds: a
-/// finished link takes no further publication.
-void Retire(ConcurrentQueue<EncodedPublicationPtr>& queue) {
-  queue.Close();
-  while (queue.TryPop()) {
-  }
-}
+}  // namespace
 
-/// TCP publisher link: the conversation the in-proc link thread holds (send
-/// up to ack_window, gate on ACKs, drain on close), as an event-driven state
-/// machine on the EpollChannel's loop thread. Shared-owned so a pump task
-/// that fires after Link teardown finds live state.
-struct ReactorLinkState
-    : public std::enable_shared_from_this<ReactorLinkState> {
-  std::shared_ptr<transport::EpollChannel> channel;
+// ---------------------------------------------------------------------------
+// Publisher link: one connection per subscriber, held as an event-driven
+// state machine on the channel's reactor loop: send up to ack_window, gate
+// on ACKs, drain on close. In-proc and TCP links alike; no link owns a
+// thread. Shared-owned so a pump task that fires after teardown finds live
+// state.
+
+struct Publisher::Link : public std::enable_shared_from_this<Link> {
+  std::shared_ptr<transport::AsyncChannel> channel;
   std::unique_ptr<PublisherLinkProtocol> proto;
   ConcurrentQueue<EncodedPublicationPtr> queue;
   std::size_t ack_window = 1;
   std::size_t max_queue = std::numeric_limits<std::size_t>::max();
   transport::Reactor* reactor = nullptr;
-  std::size_t loop = 0;
-  // The owning node's CPU account: loop work is billed there, as a link
-  // thread's work is.
+  // The owning node's CPU account: loop work is billed there.
   std::atomic<Timestamp>* cpu_acc = nullptr;
+  std::atomic<std::uint64_t> dropped{0};
 
   InFlightQueue in_flight;  // loop thread only
   std::atomic<bool> pump_armed{false};
@@ -83,11 +78,15 @@ struct ReactorLinkState
     return true;
   }
 
+  /// False once the subscriber left or the link gave up on the connection.
+  bool Live() const {
+    return !done.load(std::memory_order_acquire) && channel->IsOpen();
+  }
+
   /// Any-thread: schedule a pump pass, coalescing bursts into one task.
   void KickPump() {
     if (pump_armed.exchange(true, std::memory_order_acq_rel)) return;
-    auto self = shared_from_this();
-    reactor->Post(loop, [self] {
+    reactor->Post(channel->LoopIndex(), [self = shared_from_this()] {
       self->pump_armed.store(false, std::memory_order_release);
       self->Charged([&] { self->Pump(); });
     });
@@ -104,10 +103,31 @@ struct ReactorLinkState
     });
   }
 
-  /// Loop thread: the connection ended or the link drained.
+  /// Loop thread: the connection ended or the link drained. A finished
+  /// link takes no further publication.
   void Finish() {
     done.store(true, std::memory_order_release);
-    Retire(queue);
+    queue.Close();
+    while (queue.TryPop()) {
+    }
+  }
+
+  /// Grace period: let the link drain queued publications and collect the
+  /// ACKs still owed, so cleanly-shutdown systems log complete pairs. A
+  /// non-cooperative subscriber that withholds ACKs only costs us this
+  /// bounded wait. Then rendezvous with the loop's teardown so no handler
+  /// still runs when the caller proceeds to destroy node state.
+  void Shutdown() {
+    queue.Close();
+    KickPump();  // let the pump observe the closed queue
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!done.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    channel->Close();
+    channel->WaitClosed(2000);
   }
 
  private:
@@ -123,8 +143,8 @@ struct ReactorLinkState
   /// Send while the ACK window has room; detect completion.
   void Pump() {
     while (true) {
-      // ACK gating: with window W, at most W outstanding messages (the
-      // paper's scheme is W = 1).
+      // ACK gating: with window W, at most W outstanding messages. The
+      // paper's scheme is W = 1 — publication seq+1 waits for the ACK of seq.
       if (proto->ExpectsAck() && in_flight.items.size() >= ack_window) break;
       auto pub = queue.TryPop();
       if (!pub) break;
@@ -137,116 +157,6 @@ struct ReactorLinkState
     }
     if (queue.Closed() && queue.Size() == 0 && in_flight.items.empty()) {
       Finish();
-    }
-  }
-};
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Publisher link: one connection per subscriber — a dedicated thread for an
-// in-proc channel, a reactor state machine for a TCP (EpollChannel) one.
-
-struct Publisher::Link {
-  crypto::ComponentId subscriber;
-  transport::ChannelPtr channel;
-  std::unique_ptr<PublisherLinkProtocol> proto;
-  ConcurrentQueue<EncodedPublicationPtr> queue;
-  std::size_t ack_window = 1;
-  std::size_t max_queue = std::numeric_limits<std::size_t>::max();
-  std::atomic<std::uint64_t> dropped{0};
-  std::atomic<bool> done{false};
-  std::atomic<Timestamp>* cpu_acc = nullptr;
-  std::thread thread;
-  std::shared_ptr<ReactorLinkState> reactor_state;  // TCP links only
-
-  /// Enqueues one publication; false when the per-link queue is full.
-  bool Offer(const EncodedPublicationPtr& pub) {
-    if (reactor_state) return reactor_state->Offer(pub);
-    if (queue.Size() >= max_queue) return false;
-    queue.Push(pub);
-    return true;
-  }
-
-  /// False once the subscriber left or the link gave up on the connection.
-  bool Live() const {
-    const std::atomic<bool>& finished =
-        reactor_state ? reactor_state->done : done;
-    return !finished.load(std::memory_order_acquire) && channel->IsOpen();
-  }
-
-  void Run() {
-    {
-      ThreadCpuTracker cpu(cpu_acc);
-      RunLoop(cpu);
-    }
-    Retire(queue);
-    done.store(true, std::memory_order_release);
-  }
-
-  void RunLoop(ThreadCpuTracker& cpu) {
-    // Messages sent but not yet acknowledged, oldest first. ACKs arrive in
-    // order on the FIFO channel, so the front is always the one being acked.
-    InFlightQueue in_flight;
-    while (auto pub = queue.Pop()) {
-      if (!channel->Send((*pub)->wire)) return;
-      proto->OnSent(**pub);
-      if (!proto->ExpectsAck()) {
-        cpu.Tick();
-        continue;
-      }
-      in_flight.PushSent(std::move(*pub));
-      // ACK gating: with window W, block after W outstanding messages. The
-      // paper's scheme is W = 1 — publication seq+1 waits for the ACK of seq.
-      while (in_flight.items.size() >= ack_window) {
-        cpu.Tick();  // don't bill the blocking wait below
-        auto ack = channel->Receive();
-        if (!ack) return;
-        proto->OnAck(*in_flight.items.front().pub, *ack);
-        in_flight.PopAcked();
-      }
-      cpu.Tick();
-    }
-    // Queue closed: drain ACKs still owed for in-flight messages.
-    while (!in_flight.items.empty()) {
-      auto ack = channel->Receive();
-      if (!ack) return;
-      proto->OnAck(*in_flight.items.front().pub, *ack);
-      in_flight.PopAcked();
-    }
-  }
-
-  void Shutdown() {
-    if (reactor_state) {
-      ShutdownReactor();
-      return;
-    }
-    queue.Close();
-    WaitDrained(done);
-    channel->Close();
-    if (thread.joinable()) thread.join();
-  }
-
-  void ShutdownReactor() {
-    reactor_state->queue.Close();
-    reactor_state->KickPump();  // let the pump observe the closed queue
-    WaitDrained(reactor_state->done);
-    reactor_state->channel->Close();
-    // Rendezvous with the loop's teardown so no handler still runs when
-    // the caller proceeds to destroy node state.
-    reactor_state->channel->WaitClosed(2000);
-  }
-
-  /// Grace period: let the link drain queued publications and collect the
-  /// ACKs still owed, so cleanly-shutdown systems log complete pairs. A
-  /// non-cooperative subscriber that withholds ACKs only costs us this
-  /// bounded wait.
-  static void WaitDrained(const std::atomic<bool>& flag) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(2);
-    while (!flag.load(std::memory_order_acquire) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
 };
@@ -280,7 +190,7 @@ std::uint64_t Publisher::Publish(Bytes payload) {
 
   // A link whose subscriber left is retired, not fed: it would otherwise
   // hold every later publication until Shutdown.
-  std::vector<std::unique_ptr<Link>> finished;
+  std::vector<std::shared_ptr<Link>> finished;
   {
     MutexLock lock(links_mu_);
     for (auto& link : links_) {
@@ -294,7 +204,7 @@ std::uint64_t Publisher::Publish(Bytes payload) {
     }
     if (!finished.empty()) std::erase(links_, nullptr);
   }
-  // Unlocked: retiring waits for the link's thread or loop teardown.
+  // Unlocked: retiring waits for the link's loop teardown.
   publish_lock.Unlock();
   for (auto& link : finished) link->Shutdown();
   return seq;
@@ -333,39 +243,19 @@ std::uint64_t Publisher::DroppedCount() const {
 }
 
 void Publisher::AddLink(const crypto::ComponentId& subscriber,
-                        transport::ChannelPtr channel) {
-  auto link = std::make_unique<Link>();
-  link->subscriber = subscriber;
-
-  auto epoll_channel =
-      std::dynamic_pointer_cast<transport::EpollChannel>(channel);
-  if (epoll_channel) {
-    auto state = std::make_shared<ReactorLinkState>();
-    state->channel = epoll_channel;
-    state->proto = node_->protocol().MakePublisherLink(topic_, subscriber);
-    state->ack_window = node_->Options().ack_window;
-    state->max_queue = node_->Options().max_queue;
-    state->reactor = &transport::Reactor::Global();
-    state->loop = epoll_channel->LoopIndex();
-    state->cpu_acc = &node_->cpu_ns_;
-    link->channel = std::move(channel);
-    link->reactor_state = state;
-    // Called from inside the handshake frame handler, so this swap executes
-    // synchronously on the loop thread and later frames (early ACKs
-    // included) flow straight to the link.
-    epoll_channel->StartAsync(
-        [state](BytesView frame) { state->OnFrame(frame); },
-        [state] { state->Finish(); });
-  } else {
-    // In-proc channels have no fd for the reactor to watch: one thread each.
-    link->channel = std::move(channel);
-    link->proto = node_->protocol().MakePublisherLink(topic_, subscriber);
-    link->ack_window = node_->Options().ack_window;
-    link->max_queue = node_->Options().max_queue;
-    link->cpu_acc = &node_->cpu_ns_;
-    Link* raw = link.get();
-    link->thread = std::thread([raw] { raw->Run(); });
-  }
+                        std::shared_ptr<transport::AsyncChannel> channel) {
+  auto link = std::make_shared<Link>();
+  link->channel = std::move(channel);
+  link->proto = node_->protocol().MakePublisherLink(topic_, subscriber);
+  link->ack_window = node_->Options().ack_window;
+  link->max_queue = node_->Options().max_queue;
+  link->reactor = &transport::Reactor::Global();
+  link->cpu_acc = &node_->cpu_ns_;
+  // A TCP link is attached from inside the handshake frame handler, so this
+  // swap executes synchronously on the loop thread and later frames (early
+  // ACKs included) flow straight to the link.
+  link->channel->StartAsync([link](BytesView frame) { link->OnFrame(frame); },
+                            [link] { link->Finish(); });
   bool closed;
   {
     MutexLock lock(links_mu_);
@@ -374,8 +264,7 @@ void Publisher::AddLink(const crypto::ComponentId& subscriber,
   }
   if (closed) {
     // Lost the race with Shutdown(): nobody will ever drain this link, so
-    // tear it down here (joins the just-spawned thread / detaches the
-    // reactor handlers) instead of leaking it.
+    // tear it down here (detaches its handlers) instead of leaking it.
     link->Shutdown();
     return;
   }
@@ -383,7 +272,7 @@ void Publisher::AddLink(const crypto::ComponentId& subscriber,
 }
 
 void Publisher::Shutdown() {
-  std::vector<std::unique_ptr<Link>> links;
+  std::vector<std::shared_ptr<Link>> links;
   {
     MutexLock lock(links_mu_);
     links_closed_ = true;
@@ -558,7 +447,8 @@ Publisher& Node::Advertise(const std::string& topic) {
   AdvertiseInfo info;
   if (options_.transport == TransportKind::kInProc) {
     info.connect = [this, topic](const crypto::ComponentId& subscriber) {
-      auto pair = transport::MakeInProcChannelPair(options_.link_model);
+      auto pair = transport::MakeInProcChannelPair(transport::Reactor::Global(),
+                                                   options_.link_model);
       AttachSubscriberLink(topic, subscriber, pair.a);
       return pair.b;
     };
@@ -572,9 +462,9 @@ Publisher& Node::Advertise(const std::string& topic) {
   return *pub;
 }
 
-void Node::AttachSubscriberLink(const std::string& topic,
-                                const crypto::ComponentId& subscriber,
-                                transport::ChannelPtr channel) {
+void Node::AttachSubscriberLink(
+    const std::string& topic, const crypto::ComponentId& subscriber,
+    std::shared_ptr<transport::AsyncChannel> channel) {
   Publisher* pub = nullptr;
   {
     MutexLock lock(mu_);

@@ -1,9 +1,8 @@
 // Node: a software component `c_i`. Owns its publishers, subscriptions, and
-// one link per subscriber connection (as in ROS: "ROS runs a connection
-// thread per subscriber, not per topic"). An in-proc link runs on its own
-// thread; a TCP link is a state machine on the shared epoll reactor, which
-// also accepts the node's inbound connections. Subscriptions read on one
-// receive thread per publisher link.
+// one link per subscriber connection (ROS runs a connection thread per
+// subscriber, not per topic). Every link, in-proc or TCP, is a state machine
+// on the shared epoll reactor, which also accepts the node's inbound
+// connections. Subscriptions read on one receive thread per publisher link.
 #pragma once
 
 #include <atomic>
@@ -94,7 +93,8 @@ class Publisher {
   Publisher(Node* node, std::string topic);
 
   void AddLink(const crypto::ComponentId& subscriber,
-               transport::ChannelPtr channel) EXCLUDES(links_mu_);
+               std::shared_ptr<transport::AsyncChannel> channel)
+      EXCLUDES(links_mu_);
   void Shutdown() EXCLUDES(links_mu_);
   std::size_t LiveLinksLocked() const REQUIRES(links_mu_);
 
@@ -107,7 +107,7 @@ class Publisher {
 
   mutable Mutex links_mu_;
   mutable CondVar links_cv_;
-  std::vector<std::unique_ptr<Link>> links_ GUARDED_BY(links_mu_);
+  std::vector<std::shared_ptr<Link>> links_ GUARDED_BY(links_mu_);
   // Queue-full drops of links already retired.
   std::uint64_t retired_dropped_ GUARDED_BY(links_mu_) = 0;
   // Set by Shutdown(); a late AddLink (TCP handshakes land asynchronously)
@@ -146,8 +146,8 @@ class Node {
 
   /// CPU time consumed by this node's middleware work: per-publication
   /// encoding (hash/sign), publisher links (ACK handling and sends, on the
-  /// link thread or the reactor loop), and message handling on receive
-  /// threads. Used by the publisher-CPU-utilization experiments (Fig. 14).
+  /// reactor loop), and message handling on receive threads. Used by the
+  /// publisher-CPU-utilization experiments (Fig. 14).
   std::int64_t CpuTimeNs() const {
     return cpu_ns_.load(std::memory_order_relaxed);
   }
@@ -160,7 +160,8 @@ class Node {
   /// Publisher-side connection setup shared by both transports.
   void AttachSubscriberLink(const std::string& topic,
                             const crypto::ComponentId& subscriber,
-                            transport::ChannelPtr channel) EXCLUDES(mu_);
+                            std::shared_ptr<transport::AsyncChannel> channel)
+      EXCLUDES(mu_);
 
   crypto::ComponentId name_;
   MasterApi& master_;

@@ -4,19 +4,26 @@
 // and thus unobservable to third parties (TCPROS in the paper's prototype).
 // A `Channel` is one reliable, ordered, duplex, message-framed connection
 // between exactly one publisher-side link and one subscriber-side link.
+// `Channel` is the blocking contract; `AsyncChannel` adds delivery to
+// handlers on a reactor loop, which is how every publisher link runs.
 //
 // Three implementations:
-//   * InProcChannel — lock-free of OS dependencies, deterministic, with an
-//     optional latency/bandwidth link model (default for experiments);
+//   * in-proc (inproc.h) — an `AsyncChannel` pair of in-process queues,
+//     deterministic, with an optional latency/bandwidth link model (default
+//     for experiments);
 //   * TcpChannel    — a blocking loopback TCP socket with the 4-byte length
 //     preamble, matching the paper's substrate. Every client end (subscriber
 //     receive, remote master, log uploads, sync fetches) is one of these,
 //     driven by its caller's thread;
-//   * EpollChannel  — the server end of a TCP connection, accepted and
-//     driven by the epoll reactor (epoll_channel.h). Same wire format, so a
-//     blocking client and a reactor-driven server pair freely.
+//   * EpollChannel  — the `AsyncChannel` server end of a TCP connection,
+//     accepted and driven by the epoll reactor (epoll_channel.h). Same wire
+//     format, so a blocking client and a reactor-driven server pair freely.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 
@@ -50,9 +57,74 @@ class Channel {
 
 using ChannelPtr = std::shared_ptr<Channel>;
 
-struct ChannelPair {
-  ChannelPtr a;
-  ChannelPtr b;
+class Reactor;
+
+/// A channel whose frames one reactor loop delivers to handlers instead of
+/// Receive(). Frames reach the frame handler in send order, on the loop
+/// LoopIndex() names; once the connection has closed and the last frame was
+/// delivered, the close edge runs the close handler exactly once. The two
+/// handlers never run concurrently, and either may Send on the channel.
+/// The handler slot and the close edge live here, shared by both
+/// implementations; each supplies the frames.
+class AsyncChannel : public Channel {
+ public:
+  /// Runs on the loop, once per frame. The view is valid only for the
+  /// duration of the call; a handler that keeps the payload must copy it.
+  using FrameHandler = std::function<void(BytesView frame)>;
+  /// Runs on the loop, exactly once, after the last frame.
+  using ClosedHandler = std::function<void()>;
+
+  /// Switches delivery from Receive() to the handlers, draining frames that
+  /// queued before the call to `on_frame` first, in order. If the
+  /// connection already closed, `on_closed` still fires after that drain,
+  /// so no caller misses the close edge. May be called again from inside a
+  /// frame handler to replace the handlers — how endpoints switch from
+  /// handshake to steady-state processing. Both handlers are released at
+  /// the close edge (they may own the channel).
+  void StartAsync(FrameHandler on_frame, ClosedHandler on_closed);
+
+  /// Blocks until the close edge has run; false on timeout.
+  bool WaitClosed(std::int64_t timeout_ms) const;
+
+  /// The reactor loop the handlers run on.
+  std::size_t LoopIndex() const { return loop_; }
+
+  AsyncChannel(const AsyncChannel&) = delete;
+  AsyncChannel& operator=(const AsyncChannel&) = delete;
+
+ protected:
+  AsyncChannel(Reactor& reactor, std::size_t loop);
+
+  /// An owning reference, held by the tasks posted for this channel.
+  virtual std::shared_ptr<AsyncChannel> Self() = 0;
+  /// Loop thread, on the first StartAsync(): hands the frames that queued
+  /// before it to Deliver().
+  virtual void DrainQueued() = 0;
+
+  // Loop thread only.
+  /// Runs the frame handler, which may replace itself mid-call.
+  void Deliver(BytesView frame);
+  /// The close edge: releases both handlers, runs the close handler and
+  /// releases WaitClosed(). A repeat reaches only handlers attached since.
+  void CloseEdge();
+  bool async() const { return async_; }
+  bool closed() const { return closed_; }
+
+  Reactor& reactor_;
+  const std::size_t loop_;
+
+ private:
+  void StartAsyncOnLoop(FrameHandler on_frame, ClosedHandler on_closed);
+
+  // Loop-affine, no lock: every reader and writer runs on the owning loop's
+  // thread, which is the reactor pattern the analysis cannot express.
+  bool async_ = false;
+  bool closed_ = false;    // the close edge has run
+  bool released_ = false;  // ...and released the current handlers
+  FrameHandler on_frame_;
+  ClosedHandler on_closed_;
+  std::promise<void> closed_promise_;
+  std::shared_future<void> closed_done_;
 };
 
 }  // namespace adlp::transport

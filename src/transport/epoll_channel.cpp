@@ -53,20 +53,15 @@ void SetNonBlocking(int fd) {
 // EpollChannel
 
 EpollChannel::EpollChannel(Reactor& reactor, int fd, std::size_t loop)
-    : reactor_(reactor), fd_(fd), loop_(loop) {}
+    : AsyncChannel(reactor, loop), fd_(fd) {}
 
 std::shared_ptr<EpollChannel> EpollChannel::Adopt(Reactor& reactor, int fd) {
-  return AdoptOnLoop(reactor, fd, reactor.AssignLoop());
-}
-
-std::shared_ptr<EpollChannel> EpollChannel::AdoptOnLoop(Reactor& reactor,
-                                                        int fd,
-                                                        std::size_t loop) {
   SetNonBlocking(fd);
   const int one = 1;
   // Harmless failure on non-TCP fds (socketpair in tests).
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  std::shared_ptr<EpollChannel> channel(new EpollChannel(reactor, fd, loop));
+  std::shared_ptr<EpollChannel> channel(
+      new EpollChannel(reactor, fd, reactor.AssignLoop()));
   channel->Register();
   return channel;
 }
@@ -81,10 +76,10 @@ void EpollChannel::Register() {
       });
   if (!ok) {
     // Reactor stopped or epoll rejected the fd: surface as a dead channel.
+    // No loop task exists yet, so this thread may run the close edge.
     closed_.store(true, std::memory_order_release);
     rq_.Close();
-    MutexLock lock(close_mu_);
-    closed_done_ = true;
+    CloseEdge();
   }
 }
 
@@ -214,54 +209,9 @@ void EpollChannel::Close() {
   }
 }
 
-void EpollChannel::StartAsync(FrameHandler on_frame, ClosedHandler on_closed) {
-  auto task = [self = shared_from_this(), f = std::move(on_frame),
-               c = std::move(on_closed)]() mutable {
-    self->StartAsyncOnLoop(std::move(f), std::move(c));
-  };
-  if (reactor_.OnLoopThread(loop_)) {
-    task();
-  } else {
-    reactor_.Post(loop_, std::move(task));
-  }
-}
-
-void EpollChannel::StartAsyncOnLoop(FrameHandler on_frame,
-                                    ClosedHandler on_closed) {
-  // Keep a replaced handler alive until this call returns: endpoints swap
-  // handlers from *inside* a frame callback (handshake -> steady state),
-  // and the old closure's captures must outlive its still-running body.
-  FrameHandler old_frame = std::move(on_frame_);
-  ClosedHandler old_closed = std::move(on_closed_);
-  on_frame_ = std::move(on_frame);
-  on_closed_ = std::move(on_closed);
-  async_ = true;
-  // Frames that arrived before the handler attach drain first, in order.
-  while (auto frame = rq_.TryPop()) {
-    DeliverFrame(BytesView(*frame));
-    if (torn_down_) break;
-  }
-  if (torn_down_) {
-    // The connection died before (or while) the handler attached; deliver
-    // the close edge the teardown could not, and release the frame handler
-    // as teardown would have (it may own this channel).
-    on_frame_ = nullptr;
-    auto closed = std::move(on_closed_);
-    on_closed_ = nullptr;
-    if (closed) closed();
-  }
-}
-
-bool EpollChannel::WaitClosed(std::int64_t timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  MutexLock lock(close_mu_);
-  while (!closed_done_) {
-    if (close_cv_.WaitUntil(lock, deadline) == std::cv_status::timeout) {
-      return closed_done_;
-    }
-  }
-  return true;
+void EpollChannel::DrainQueued() {
+  // Frames that arrived before the handler attached drain first, in order.
+  while (auto frame = rq_.TryPop()) Deliver(BytesView(*frame));
 }
 
 void EpollChannel::HandleEvents(std::uint32_t events) {
@@ -354,16 +304,8 @@ bool EpollChannel::ParseFrames() {
 }
 
 void EpollChannel::DeliverFrame(BytesView frame) {
-  if (async_) {
-    // Move the handler out while it runs: it may replace itself mid-call
-    // (the handshake -> link switch), and assigning over the std::function
-    // whose body is executing would destroy live captures. Copying it
-    // instead would heap-allocate once per frame.
-    FrameHandler handler = std::move(on_frame_);
-    if (handler) handler(frame);
-    // Restore unless replaced mid-call, or released by a teardown the
-    // handler's own send triggered.
-    if (!on_frame_ && !torn_down_) on_frame_ = std::move(handler);
+  if (async()) {
+    Deliver(frame);
   } else {
     rq_.Push(Bytes(frame.begin(), frame.end()));
   }
@@ -419,20 +361,7 @@ void EpollChannel::TearDown() {
     wq_bytes_ = 0;
   }
   rq_.Close();
-  // Release both handlers: they routinely capture owning references back to
-  // this channel (or to link state holding it), and leaving them set would
-  // cycle-leak the connection. TearDown never runs from inside a handler
-  // body (handlers cannot trigger it re-entrantly; Close() only shuts the
-  // socket down), so destroying them here is safe.
-  on_frame_ = nullptr;
-  auto closed = std::move(on_closed_);
-  on_closed_ = nullptr;
-  if (closed) closed();
-  {
-    MutexLock lock(close_mu_);
-    closed_done_ = true;
-  }
-  close_cv_.NotifyAll();
+  CloseEdge();
 }
 
 // ---------------------------------------------------------------------------

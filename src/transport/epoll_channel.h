@@ -12,9 +12,10 @@
 // Two delivery styles:
 //   * blocking-compat: without StartAsync(), parsed frames queue and
 //     Receive() blocks on them, matching TcpChannel semantics exactly;
-//   * async: StartAsync(on_frame, on_closed) delivers each frame on the
-//     loop thread — how every server consumes its connections, so no
-//     thread blocks per connection.
+//   * async (the AsyncChannel contract, channel.h): StartAsync(on_frame,
+//     on_closed) delivers each frame on the loop thread — how every server
+//     and every TCP publisher link consumes its connections, so no thread
+//     blocks per connection.
 #pragma once
 
 #include <atomic>
@@ -33,26 +34,14 @@ namespace adlp::transport {
 
 class TcpListener;
 
-class EpollChannel final : public Channel,
+class EpollChannel final : public AsyncChannel,
                            public std::enable_shared_from_this<EpollChannel> {
  public:
-  /// Runs on the owning loop thread, once per complete frame. The view is
-  /// valid only for the duration of the call (it aliases the read buffer);
-  /// a handler that keeps the payload must copy it.
-  using FrameHandler = std::function<void(BytesView frame)>;
-  /// Runs on the owning loop thread, exactly once, when the connection has
-  /// torn down (peer EOF, error, Close(), or protocol violation).
-  using ClosedHandler = std::function<void()>;
-
   /// Takes ownership of a connected socket fd, makes it non-blocking, and
   /// registers it with a round-robin-assigned reactor loop. The channel is
   /// usable immediately; frames arriving before StartAsync() queue for
   /// Receive(). The reactor must outlive the channel.
   static std::shared_ptr<EpollChannel> Adopt(Reactor& reactor, int fd);
-
-  /// As Adopt(), pinning the connection to a specific loop.
-  static std::shared_ptr<EpollChannel> AdoptOnLoop(Reactor& reactor, int fd,
-                                                   std::size_t loop);
 
   ~EpollChannel() override;
 
@@ -68,27 +57,15 @@ class EpollChannel final : public Channel,
 
   /// Closes both directions. The loop observes the shutdown and completes
   /// the teardown (handler removal, on_closed) asynchronously; use
-  /// WaitClosed() to rendezvous with it.
+  /// WaitClosed() to rendezvous with it. The close edge follows every
+  /// teardown — peer EOF, error, Close(), or a protocol violation — with or
+  /// without StartAsync(). A torn-down channel's fd is still held until
+  /// destruction (never recycled under an in-flight event).
   void Close() override;
 
   bool IsOpen() const override {
     return !closed_.load(std::memory_order_acquire);
   }
-
-  /// Switches frame delivery from the Receive() queue to `on_frame`,
-  /// draining already-queued frames to it first (in arrival order, on the
-  /// loop thread). If the connection already tore down, `on_closed` still
-  /// fires (after the drain), so no caller misses the close edge. May be
-  /// called again from inside a frame handler to replace the handlers —
-  /// how endpoints switch from handshake to steady-state processing.
-  void StartAsync(FrameHandler on_frame, ClosedHandler on_closed);
-
-  /// Blocks until the loop has finished tearing the connection down.
-  /// Returns false on timeout. A torn-down channel's fd is still held
-  /// until destruction (never recycled under an in-flight event).
-  bool WaitClosed(std::int64_t timeout_ms) EXCLUDES(close_mu_);
-
-  std::size_t LoopIndex() const { return loop_; }
 
  private:
   EpollChannel(Reactor& reactor, int fd, std::size_t loop);
@@ -101,23 +78,19 @@ class EpollChannel final : public Channel,
   bool ParseFrames();
   void DeliverFrame(BytesView frame);
   void FlushWrites() EXCLUDES(wmu_);
-  void StartAsyncOnLoop(FrameHandler on_frame, ClosedHandler on_closed);
-  void TearDown() EXCLUDES(wmu_, close_mu_);
+  void TearDown() EXCLUDES(wmu_);
+  std::shared_ptr<AsyncChannel> Self() override { return shared_from_this(); }
+  void DrainQueued() override;
 
-  Reactor& reactor_;
   const int fd_;
-  const std::size_t loop_;
 
   // Read-side state: loop-affine, no lock — every reader and writer of
   // these fields runs on the owning loop's thread (HandleEvents, ReadReady,
-  // ParseFrames, StartAsyncOnLoop, TearDown), which is the reactor pattern
-  // the analysis cannot express. Deliberately unannotated.
+  // ParseFrames, DrainQueued, TearDown), which is the reactor pattern the
+  // analysis cannot express. Deliberately unannotated.
   Bytes rbuf_;
   std::size_t rpos_ = 0;
-  bool async_ = false;
   bool torn_down_ = false;
-  FrameHandler on_frame_;
-  ClosedHandler on_closed_;
 
   // Blocking-compat receive queue.
   ConcurrentQueue<Bytes> rq_;
@@ -135,11 +108,6 @@ class EpollChannel final : public Channel,
   bool want_write_ GUARDED_BY(wmu_) = false;
 
   std::atomic<bool> closed_{false};
-
-  // Teardown rendezvous.
-  Mutex close_mu_;
-  CondVar close_cv_;
-  bool closed_done_ GUARDED_BY(close_mu_) = false;
 };
 
 /// Accepts inbound connections on a reactor loop: registers the listener's

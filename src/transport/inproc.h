@@ -2,17 +2,18 @@
 //
 // An optional `LinkModel` simulates propagation latency and serialization
 // (bandwidth) delay: each message carries a delivery-due time computed at
-// send; Receive() waits until the due time. With the default model the
-// channel delivers immediately.
+// send. A blocking Receive() waits until the due time. An end bound to a
+// reactor may instead StartAsync() (the AsyncChannel contract, channel.h):
+// its loop then delivers each frame at or after its due time, at most one
+// timer-wheel tick late, and never ahead of an earlier frame. With the
+// default model the channel delivers immediately.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
-#include "common/clock.h"
-#include "common/queue.h"
 #include "transport/channel.h"
+#include "transport/reactor.h"
 
 namespace adlp::transport {
 
@@ -32,8 +33,16 @@ struct LinkModel {
   }
 };
 
+struct InProcChannelPair {
+  std::shared_ptr<AsyncChannel> a;
+  std::shared_ptr<AsyncChannel> b;
+};
+
 /// Creates a connected endpoint pair. Both endpoints share ownership of the
-/// underlying queues; closing either end closes the connection.
-ChannelPair MakeInProcChannelPair(LinkModel model = {});
+/// underlying queues; closing either end closes the connection. Both are
+/// bound to one loop of `reactor`, as an adopted EpollChannel is, so either
+/// may StartAsync(); an end that never does keeps its blocking Receive().
+/// The reactor must outlive the endpoints.
+InProcChannelPair MakeInProcChannelPair(Reactor& reactor, LinkModel model = {});
 
 }  // namespace adlp::transport

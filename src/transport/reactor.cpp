@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <system_error>
 #include <unordered_map>
@@ -115,7 +114,8 @@ std::optional<std::int64_t> TimerWheel::NextDeadlineMs() const {
   std::optional<std::int64_t> next;
   for (const auto& slot : wheel_) {
     for (const auto& t : slot) {
-      if (!next || t.deadline_ms < *next) next = t.deadline_ms;
+      const std::int64_t fires_ms = t.deadline_tick * tick_ms_;
+      if (!next || fires_ms < *next) next = fires_ms;
     }
   }
   return next;
@@ -151,15 +151,13 @@ struct Reactor::Loop {
   // Nanosecond stamp of the oldest unserviced wakeup signal (0 = none);
   // feeds the wakeup-latency histogram.
   std::atomic<std::int64_t> wake_signal_ns{0};
-
-  Loop(std::int64_t tick_ms, std::size_t slots) : wheel(tick_ms, slots) {}
 };
 
 Reactor::Reactor(ReactorOptions options) {
   const std::size_t n = options.threads > 0 ? options.threads : DefaultThreads();
   loops_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto loop = std::make_unique<Loop>(options.tick_ms, options.timer_slots);
+    auto loop = std::make_unique<Loop>();
     loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     if (loop->epoll_fd < 0) {
       throw std::system_error(errno, std::generic_category(), "epoll_create1");
@@ -183,16 +181,7 @@ Reactor::Reactor(ReactorOptions options) {
 Reactor::~Reactor() { Stop(); }
 
 Reactor& Reactor::Global() {
-  static Reactor instance = [] {
-    ReactorOptions options;
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at first use, before
-    // worker threads exist; nothing in the process calls setenv.
-    if (const char* env = std::getenv("ADLP_REACTOR_THREADS")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n > 0 && n <= 64) options.threads = static_cast<std::size_t>(n);
-    }
-    return Reactor(options);
-  }();
+  static Reactor instance;
   return instance;
 }
 
@@ -285,23 +274,29 @@ void Reactor::Run(Loop& loop) {
   epoll_event events[kMaxEvents];
 
   while (!loop.stop.load(std::memory_order_acquire)) {
-    // Timeout: next timer deadline, or block until woken. Pending tasks
-    // force an immediate pass.
-    int timeout_ms = -1;
+    // Wait up to the next timer deadline (-1: none, block until woken).
+    // Pending tasks force an immediate pass. The wait is in nanoseconds: a
+    // whole-ms timeout would overshoot a deadline by up to a tick, on top of
+    // the tick a timer may already wait for its boundary.
+    std::int64_t wait_ns = -1;
     {
       MutexLock lock(loop.mu);
       if (!loop.tasks.empty()) {
-        timeout_ms = 0;
+        wait_ns = 0;
       } else if (auto deadline = loop.wheel.NextDeadlineMs()) {
-        // Floor 1, not 0: the wheel only fires at tick (ms) boundaries, so a
-        // zero timeout on an already-due deadline would spin until the ms
-        // rolls over instead of sleeping up to it.
-        timeout_ms = static_cast<int>(
-            std::clamp<std::int64_t>(*deadline - NowMs(), 1, 60'000));
+        wait_ns = std::clamp<std::int64_t>(
+            *deadline * 1'000'000 - MonotonicNowNs(), 0, 60'000'000'000);
       }
     }
-
-    const int n = ::epoll_wait(loop.epoll_fd, events, kMaxEvents, timeout_ms);
+    const timespec wait{wait_ns / 1'000'000'000, wait_ns % 1'000'000'000};
+    int n = ::epoll_pwait2(loop.epoll_fd, events, kMaxEvents,
+                           wait_ns < 0 ? nullptr : &wait, nullptr);
+    if (n < 0 && errno == ENOSYS) {
+      // Kernels before 5.11: whole milliseconds, rounded up (never a spin).
+      n = ::epoll_wait(
+          loop.epoll_fd, events, kMaxEvents,
+          wait_ns < 0 ? -1 : static_cast<int>((wait_ns + 999'999) / 1'000'000));
+    }
     if (n < 0 && errno != EINTR) break;
     obs::metric::ReactorLoopIterations().Add(1);
     if (n > 0) {

@@ -1,8 +1,9 @@
 // Epoll reactor: a fixed pool of event-loop threads multiplexing many
 // non-blocking connections. It is the only way a TCP server is driven: the
 // node's data listener, MasterService and LogServerService all accept and
-// serve on it, so C10k-scale fan-out costs loop wakeups, not threads.
-// Clients stay blocking TcpChannels on their own threads.
+// serve on it, so C10k-scale fan-out costs loop wakeups, not threads. Every
+// publisher link, in-proc or TCP, runs on it too. Clients stay blocking
+// TcpChannels on their own threads.
 //
 // Each loop owns an epoll instance, an eventfd for cross-thread wakeup, and
 // a hashed timer wheel for backoff/timeout scheduling. Connections
@@ -62,12 +63,12 @@ class TimerWheel {
   /// expired callbacks in deadline order.
   std::vector<Callback> Advance(std::int64_t now_ms);
 
-  /// Absolute deadline of the earliest pending timer, or nullopt when the
-  /// wheel is empty. Used to bound the epoll_wait timeout.
+  /// Absolute time the earliest pending timer fires at (its deadline, or the
+  /// next tick for one scheduled at or before the current tick), or nullopt
+  /// when the wheel is empty. Used to bound the epoll wait.
   std::optional<std::int64_t> NextDeadlineMs() const;
 
   std::size_t Pending() const { return pending_; }
-  std::int64_t NowMs() const { return now_ms_; }
 
  private:
   struct Timer {
@@ -92,9 +93,6 @@ class TimerWheel {
 struct ReactorOptions {
   /// Event-loop threads. 0 = min(4, max(2, hardware_concurrency)).
   std::size_t threads = 0;
-  /// Timer wheel granularity.
-  std::int64_t tick_ms = 1;
-  std::size_t timer_slots = 256;
 };
 
 /// The loop pool. Thread-safe unless noted. One process normally shares a
@@ -118,11 +116,9 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Shared process-wide instance, started on first use. Loop count can be
-  /// overridden by ADLP_REACTOR_THREADS in the environment.
+  /// Shared process-wide instance with the default loop count, started on
+  /// first use.
   static Reactor& Global();
-
-  std::size_t LoopCount() const { return loops_.size(); }
 
   /// Round-robin loop assignment for new connections.
   std::size_t AssignLoop() {

@@ -206,8 +206,8 @@ std::int64_t PublisherCpuNs(TransportKind transport, int count) {
 
 TEST(ComponentTest, TcpPublisherCpuTimeMatchesInProc) {
   // The publisher link's ACK work (Eq. 4 verify, entry building, sends)
-  // runs on a reactor loop over TCP and on a link thread in-proc; either
-  // way it is the publisher's CPU, so the two accounts must agree. Each
+  // runs on a reactor loop over TCP and in-proc alike; either way it is
+  // the publisher's CPU, so the two accounts must agree. Each
   // transport keeps its cheapest of three alternating runs: interference
   // from the rest of the machine only ever adds CPU time.
   constexpr int kCount = 400;

@@ -213,11 +213,14 @@ TEST(LogServerSealTest, SealedRootMatchesMerkleTreeAndProofsVerify) {
 TEST(LogServerSealTest, UploadWatermarkDedupsRetransmissions) {
   LogServer server;
   EXPECT_EQ(server.UploadWatermark("sink-a"), 0u);
-  EXPECT_TRUE(server.NoteUploadSeq("sink-a", 1));
-  EXPECT_TRUE(server.NoteUploadSeq("sink-a", 2));
-  EXPECT_FALSE(server.NoteUploadSeq("sink-a", 2));  // retransmission
-  EXPECT_FALSE(server.NoteUploadSeq("sink-a", 1));
-  EXPECT_TRUE(server.NoteUploadSeq("sink-b", 1));  // independent per sink
+  using Outcome = LogServer::UploadSeqOutcome;
+  EXPECT_EQ(server.NoteUploadSeqGapChecked("sink-a", 1), Outcome::kFresh);
+  EXPECT_EQ(server.NoteUploadSeqGapChecked("sink-a", 2), Outcome::kFresh);
+  // Retransmissions.
+  EXPECT_EQ(server.NoteUploadSeqGapChecked("sink-a", 2), Outcome::kDuplicate);
+  EXPECT_EQ(server.NoteUploadSeqGapChecked("sink-a", 1), Outcome::kDuplicate);
+  // Independent per sink.
+  EXPECT_EQ(server.NoteUploadSeqGapChecked("sink-b", 1), Outcome::kFresh);
   EXPECT_EQ(server.UploadWatermark("sink-a"), 2u);
 }
 

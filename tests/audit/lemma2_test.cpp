@@ -103,7 +103,7 @@ TEST(Lemma2Test, EndToEndHidingThroughRealPipeline) {
   auto& p = pub.Advertise("image");
   for (int i = 0; i < 3; ++i) p.Publish(Bytes{1});
   ASSERT_TRUE(test::WaitFor([&] { return got.load() == 3; }));
-  // got == 3 proves the ACKs were *sent*; the publisher link thread logs
+  // got == 3 proves the ACKs were *sent*; the publisher link logs
   // (and the behaviour drops) each entry only after processing the ACK, so
   // wait for the last drop rather than asserting a racy instantaneous count.
   ASSERT_TRUE(test::WaitFor([&] { return hide_all->HiddenCount() == 3; }));

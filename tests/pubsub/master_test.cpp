@@ -9,7 +9,7 @@ namespace {
 
 ConnectFn DummyConnect() {
   return [](const crypto::ComponentId&) {
-    return transport::MakeInProcChannelPair().b;
+    return transport::MakeInProcChannelPair(transport::Reactor::Global()).b;
   };
 }
 
@@ -101,7 +101,7 @@ TEST(MasterTest, ConnectFnReceivesSubscriberId) {
   crypto::ComponentId seen;
   master.Advertise("t", "pub", [&](const crypto::ComponentId& subscriber) {
     seen = subscriber;
-    return transport::MakeInProcChannelPair().b;
+    return transport::MakeInProcChannelPair(transport::Reactor::Global()).b;
   });
   master.Subscribe("t", "the-subscriber",
                    [](const crypto::ComponentId&, transport::ChannelPtr) {});

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "adlp/protocols.h"
 #include "test_util.h"
+#include "transport/reactor.h"
 
 namespace adlp::pubsub {
 namespace {
@@ -423,6 +428,35 @@ TEST(DepartedSubscriberTest, DropsOfRetiredLinksStayCounted) {
   ASSERT_TRUE(WaitFor([&] { return p.SubscriberCount() == 0; }));
   p.Publish(Bytes{1});  // retires the link
   EXPECT_EQ(p.DroppedCount(), dropped);
+}
+
+// --- Thread budget ----------------------------------------------------------
+
+std::size_t ProcessThreads() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(ThreadBudgetTest, InProcLinksAddOnlyReceiveThreads) {
+  // Every publisher link runs on the shared reactor, so each in-proc
+  // subscriber costs exactly one thread: its subscription's receive thread.
+  transport::Reactor::Global();  // its loop threads exist once per process
+  Master master;
+  Node pub("pub", master, PlainOptions());
+  auto& p = pub.Advertise("t");
+  std::vector<std::unique_ptr<Node>> subs;
+  for (int i = 0; i < 8; ++i) {
+    subs.push_back(std::make_unique<Node>("sub" + std::to_string(i), master,
+                                          PlainOptions()));
+  }
+  const std::size_t before = ProcessThreads();
+  for (auto& sub : subs) sub->Subscribe("t", [](const Message&) {});
+  ASSERT_TRUE(p.WaitForSubscribers(8));
+  EXPECT_EQ(ProcessThreads() - before, 8u);
 }
 
 }  // namespace

@@ -8,10 +8,14 @@
 namespace adlp::transport {
 namespace {
 
-ChannelPair FaultyPair(FaultPlan plan, std::uint64_t seed) {
-  auto pair = MakeInProcChannelPair();
-  pair.a = WrapWithFaults(pair.a, plan, Rng(seed));
-  return pair;
+struct FaultyEnds {
+  ChannelPtr a;  // the faulty sender's end
+  ChannelPtr b;
+};
+
+FaultyEnds FaultyPair(FaultPlan plan, std::uint64_t seed) {
+  auto pair = MakeInProcChannelPair(Reactor::Global());
+  return {WrapWithFaults(pair.a, plan, Rng(seed)), pair.b};
 }
 
 std::size_t CountDelivered(const ChannelPtr& sender, const ChannelPtr& receiver,

@@ -1,7 +1,8 @@
 // Reactor and EpollChannel unit tests: timer-wheel ordering (including laps
 // and large clock jumps), eventfd wakeup under concurrent enqueue, frame
 // reassembly across partial reads and short writes, fd-limit degradation,
-// and thread-vs-reactor round-trip interop.
+// thread-vs-reactor round-trip interop, and the AsyncChannel contract over
+// both EpollChannel and in-proc ends.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "common/clock.h"
 #include "obs/instrument.h"
 #include "transport/epoll_channel.h"
+#include "transport/inproc.h"
 #include "transport/reactor.h"
 #include "transport/tcp.h"
 #include "wire/wire.h"
@@ -342,59 +344,194 @@ TEST(EpollChannelTest, CloseUnblocksReceiveAndTearsDown) {
   EXPECT_FALSE(pair.server->Send(Bytes{1}));
 }
 
-TEST(EpollChannelTest, QueuedFramesDrainToLateHandler) {
-  // Frames arriving before StartAsync must reach the handler, in order.
-  Reactor reactor;
-  TcpListener listener(0);
-  RawPair pair = MakeRawPair(reactor, listener);
+// --- The AsyncChannel contract, over both implementations -------------------
+//
+// One body per property, run over an EpollChannel (with a blocking
+// TcpChannel client as its peer) and over the async end of an in-proc pair
+// (with the pair's other end as its peer).
 
-  for (std::uint8_t i = 0; i < 5; ++i) {
-    const Bytes framed = wire::FramePayload(Bytes{i});
-    ASSERT_EQ(::send(pair.client_fd, framed.data(), framed.size(), 0),
-              static_cast<ssize_t>(framed.size()));
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+enum class AsyncKind { kEpoll, kInProc };
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Bytes> got;
-  pair.server->StartAsync(
-      [&](BytesView frame) {
-        std::lock_guard lock(mu);
-        got.emplace_back(frame.begin(), frame.end());
-        cv.notify_one();
-      },
-      nullptr);
-  std::unique_lock lock(mu);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                          [&] { return got.size() == 5; }));
-  for (std::uint8_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(got[i], Bytes{i});
+/// An async end and the blocking peer that talks to it.
+struct AsyncPair {
+  std::shared_ptr<AsyncChannel> end;
+  ChannelPtr peer;
+};
+
+AsyncPair ConnectAsync(AsyncKind kind, Reactor& reactor,
+                       TcpListener& listener) {
+  if (kind == AsyncKind::kInProc) {
+    auto pair = MakeInProcChannelPair(reactor);
+    return {pair.a, pair.b};
   }
+  AsyncPair pair;
+  pair.peer = TcpConnect(listener.Port());
+  // Blocking accept is fine: the connection is already queued.
+  const int fd = ::accept(listener.NativeHandle(), nullptr, nullptr);
+  EXPECT_GE(fd, 0);
+  pair.end = EpollChannel::Adopt(reactor, fd);
+  return pair;
 }
 
-TEST(EpollChannelTest, HandlerAttachedAfterTeardownIsReleased) {
-  // The peer leaves before the server attaches its handlers. The close edge
-  // still fires, and a frame handler that owns the channel (as the
-  // services' handlers do) is released, so the connection and its fd go.
+/// What an async end delivered, in order: each frame's first byte, and -1
+/// for the close edge. Shared-owned by the handlers, so it outlives them.
+struct Recorder {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> events;
+
+  static std::shared_ptr<Recorder> Attach(AsyncChannel& channel) {
+    auto rec = std::make_shared<Recorder>();
+    channel.StartAsync([rec](BytesView frame) { rec->Note(frame[0]); },
+                       [rec] { rec->Note(-1); });
+    return rec;
+  }
+
+  void Note(int event) {
+    std::lock_guard lock(mu);
+    events.push_back(event);
+    cv.notify_all();
+  }
+
+  bool WaitForEvents(std::size_t count) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return events.size() >= count; });
+  }
+
+  std::vector<int> Events() {
+    std::lock_guard lock(mu);
+    return events;
+  }
+};
+
+void ExpectQueuedFramesDrainToLateHandler(AsyncKind kind) {
+  // Frames arriving before StartAsync must reach the handler first, in
+  // order.
   Reactor reactor;
   TcpListener listener(0);
-  RawPair pair = MakeRawPair(reactor, listener);
-  ::close(pair.client_fd);
-  pair.client_fd = -1;
-  ASSERT_TRUE(pair.server->WaitClosed(5000));
+  AsyncPair pair = ConnectAsync(kind, reactor, listener);
+
+  for (std::uint8_t i = 0; i < 5; ++i) ASSERT_TRUE(pair.peer->Send(Bytes{i}));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  auto rec = Recorder::Attach(*pair.end);
+  ASSERT_TRUE(pair.peer->Send(Bytes{5}));
+  ASSERT_TRUE(rec->WaitForEvents(6));
+  EXPECT_EQ(rec->Events(), (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  pair.end->Close();
+  EXPECT_TRUE(pair.end->WaitClosed(5000));
+}
+
+TEST(EpollChannelTest, QueuedFramesDrainToLateHandler) {
+  ExpectQueuedFramesDrainToLateHandler(AsyncKind::kEpoll);
+}
+
+TEST(InProcChannelTest, QueuedFramesDrainToLateHandler) {
+  ExpectQueuedFramesDrainToLateHandler(AsyncKind::kInProc);
+}
+
+void ExpectHandlerAttachedAfterTeardownIsReleased(AsyncKind kind) {
+  // The peer leaves before the end attaches its handlers. The close edge
+  // still fires, and a frame handler that owns the channel (as the
+  // services' and the publisher links' handlers do) is released, so the
+  // connection goes.
+  Reactor reactor;
+  TcpListener listener(0);
+  AsyncPair pair = ConnectAsync(kind, reactor, listener);
+  pair.peer->Close();
+  const Timestamp closing = MonotonicNowNs() + 5'000'000'000;
+  while (pair.end->IsOpen() && MonotonicNowNs() < closing) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_FALSE(pair.end->IsOpen());
 
   std::atomic<bool> closed{false};
-  std::weak_ptr<EpollChannel> weak = pair.server;
-  pair.server->StartAsync([owner = pair.server](BytesView) {},
-                          [&] { closed.store(true); });
-  pair.server.reset();
+  std::weak_ptr<AsyncChannel> weak = pair.end;
+  pair.end->StartAsync([owner = pair.end](BytesView) {},
+                       [&] { closed.store(true); });
+  pair.end.reset();
   const Timestamp deadline = MonotonicNowNs() + 5'000'000'000;
   while (!weak.expired() && MonotonicNowNs() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(closed.load());
   EXPECT_TRUE(weak.expired());
+}
+
+TEST(EpollChannelTest, HandlerAttachedAfterTeardownIsReleased) {
+  ExpectHandlerAttachedAfterTeardownIsReleased(AsyncKind::kEpoll);
+}
+
+TEST(InProcChannelTest, HandlerAttachedAfterTeardownIsReleased) {
+  ExpectHandlerAttachedAfterTeardownIsReleased(AsyncKind::kInProc);
+}
+
+void ExpectCloseEdgeOnceAfterLastFrame(AsyncKind kind) {
+  // Whichever end closes, the close edge comes exactly once, after every
+  // frame, and WaitClosed() then returns true.
+  for (const bool peer_closes : {true, false}) {
+    SCOPED_TRACE(peer_closes ? "peer closes" : "async end closes");
+    Reactor reactor;
+    TcpListener listener(0);
+    AsyncPair pair = ConnectAsync(kind, reactor, listener);
+    auto rec = Recorder::Attach(*pair.end);
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      ASSERT_TRUE(pair.peer->Send(Bytes{i}));
+    }
+    if (peer_closes) {
+      pair.peer->Close();
+    } else {
+      ASSERT_TRUE(rec->WaitForEvents(3));
+      pair.end->Close();
+    }
+    ASSERT_TRUE(pair.end->WaitClosed(5000));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(rec->Events(), (std::vector<int>{0, 1, 2, -1}));
+  }
+}
+
+TEST(EpollChannelTest, CloseEdgeFiresOnceAfterLastFrame) {
+  ExpectCloseEdgeOnceAfterLastFrame(AsyncKind::kEpoll);
+}
+
+TEST(InProcChannelTest, CloseEdgeFiresOnceAfterLastFrame) {
+  ExpectCloseEdgeOnceAfterLastFrame(AsyncKind::kInProc);
+}
+
+void ExpectFrameHandlerMaySendOnItsOwnEnd(AsyncKind kind) {
+  // How a publisher link answers an ACK with the next publication: the
+  // frame handler, on the end's loop, sends on that same end.
+  Reactor reactor;
+  TcpListener listener(0);
+  AsyncPair pair = ConnectAsync(kind, reactor, listener);
+  AsyncChannel* end = pair.end.get();
+  std::atomic<bool> on_loop{true};
+  end->StartAsync(
+      [end, &reactor, &on_loop](BytesView frame) {
+        if (!reactor.OnLoopThread(end->LoopIndex())) on_loop.store(false);
+        Bytes reply(frame.begin(), frame.end());
+        reply.push_back(0xff);
+        EXPECT_TRUE(end->Send(reply));
+      },
+      nullptr);
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(pair.peer->Send(Bytes{i}));
+    auto reply = pair.peer->Receive();
+    ASSERT_TRUE(reply);
+    EXPECT_EQ(*reply, (Bytes{i, 0xff}));
+  }
+  EXPECT_TRUE(on_loop.load());
+  pair.end->Close();
+  EXPECT_TRUE(pair.end->WaitClosed(5000));
+}
+
+TEST(EpollChannelTest, FrameHandlerMaySendOnItsOwnEnd) {
+  ExpectFrameHandlerMaySendOnItsOwnEnd(AsyncKind::kEpoll);
+}
+
+TEST(InProcChannelTest, FrameHandlerMaySendOnItsOwnEnd) {
+  ExpectFrameHandlerMaySendOnItsOwnEnd(AsyncKind::kInProc);
 }
 
 // --- Blocking client vs reactor server --------------------------------------

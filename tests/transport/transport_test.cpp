@@ -5,8 +5,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -39,12 +42,12 @@ void ExerciseEcho(const ChannelPtr& a, const ChannelPtr& b) {
 }
 
 TEST(InProcChannelTest, EchoBothDirections) {
-  auto pair = MakeInProcChannelPair();
+  auto pair = MakeInProcChannelPair(Reactor::Global());
   ExerciseEcho(pair.a, pair.b);
 }
 
 TEST(InProcChannelTest, EmptyMessage) {
-  auto pair = MakeInProcChannelPair();
+  auto pair = MakeInProcChannelPair(Reactor::Global());
   ASSERT_TRUE(pair.a->Send({}));
   auto r = pair.b->Receive();
   ASSERT_TRUE(r);
@@ -52,7 +55,7 @@ TEST(InProcChannelTest, EmptyMessage) {
 }
 
 TEST(InProcChannelTest, CloseUnblocksReceiver) {
-  auto pair = MakeInProcChannelPair();
+  auto pair = MakeInProcChannelPair(Reactor::Global());
   std::thread receiver([&] {
     auto r = pair.b->Receive();
     EXPECT_FALSE(r.has_value());
@@ -63,14 +66,14 @@ TEST(InProcChannelTest, CloseUnblocksReceiver) {
 }
 
 TEST(InProcChannelTest, SendAfterCloseFails) {
-  auto pair = MakeInProcChannelPair();
+  auto pair = MakeInProcChannelPair(Reactor::Global());
   pair.b->Close();
   EXPECT_FALSE(pair.a->Send(Bytes{1}));
   EXPECT_FALSE(pair.a->IsOpen());
 }
 
 TEST(InProcChannelTest, DrainAfterClose) {
-  auto pair = MakeInProcChannelPair();
+  auto pair = MakeInProcChannelPair(Reactor::Global());
   ASSERT_TRUE(pair.a->Send(Bytes{1}));
   ASSERT_TRUE(pair.a->Send(Bytes{2}));
   pair.a->Close();
@@ -83,7 +86,7 @@ TEST(InProcChannelTest, DrainAfterClose) {
 TEST(InProcChannelTest, LatencyModelDelaysDelivery) {
   LinkModel model;
   model.latency_ns = 20'000'000;  // 20 ms
-  auto pair = MakeInProcChannelPair(model);
+  auto pair = MakeInProcChannelPair(Reactor::Global(), model);
   const Timestamp start = MonotonicNowNs();
   ASSERT_TRUE(pair.a->Send(Bytes{1}));
   auto r = pair.b->Receive();
@@ -99,8 +102,79 @@ TEST(InProcChannelTest, BandwidthModelScalesWithSize) {
   EXPECT_EQ(model.TransferDelayNs(500'000), 500'000'000);  // 0.5 s
 }
 
+/// Frames an async in-proc end delivered: size and delivery time.
+struct Deliveries {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::pair<std::size_t, Timestamp>> frames;
+
+  void Attach(AsyncChannel& channel) {
+    channel.StartAsync(
+        [this](BytesView frame) {
+          std::lock_guard lock(mu);
+          frames.emplace_back(frame.size(), MonotonicNowNs());
+          cv.notify_all();
+        },
+        nullptr);
+  }
+
+  std::vector<std::pair<std::size_t, Timestamp>> Await(std::size_t count) {
+    std::unique_lock lock(mu);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return frames.size() >= count; }));
+    return frames;
+  }
+};
+
+TEST(InProcChannelTest, AsyncDeliveryIsNeverEarly) {
+  // The loop delivers on a millisecond timer wheel; a frame must still not
+  // arrive before its link-model due time, wherever in a tick it was sent.
+  Reactor reactor;
+  LinkModel model;
+  model.latency_ns = 3'000'000;  // 3 ms
+  Deliveries got;  // outlives the pair and its handler
+  auto pair = MakeInProcChannelPair(reactor, model);
+  got.Attach(*pair.a);
+  constexpr std::size_t kFrames = 20;
+  std::vector<Timestamp> sent;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    sent.push_back(MonotonicNowNs());
+    ASSERT_TRUE(pair.b->Send(Bytes{1}));
+    std::this_thread::sleep_for(std::chrono::microseconds(370));
+  }
+  const auto frames = got.Await(kFrames);
+  ASSERT_EQ(frames.size(), kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    EXPECT_GE(frames[i].second - sent[i], model.latency_ns) << "frame " << i;
+  }
+  pair.a->Close();
+  EXPECT_TRUE(pair.a->WaitClosed(5000));
+}
+
+TEST(InProcChannelTest, AsyncDeliveryKeepsSendOrderUnderBandwidthModel) {
+  // A small frame sent right after a large one is due first; it must still
+  // wait for the large one, as the blocking end's FIFO Receive() does.
+  Reactor reactor;
+  LinkModel model;
+  model.bandwidth_bytes_per_sec = 1'000'000;  // 100 KB -> 100 ms
+  Deliveries got;  // outlives the pair and its handler
+  auto pair = MakeInProcChannelPair(reactor, model);
+  got.Attach(*pair.a);
+  const Timestamp start = MonotonicNowNs();
+  ASSERT_TRUE(pair.b->Send(Bytes(100'000, 1)));
+  ASSERT_TRUE(pair.b->Send(Bytes{2}));
+  const auto frames = got.Await(2);
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].first, 100'000u);
+  EXPECT_EQ(frames[1].first, 1u);
+  EXPECT_GE(frames[0].second - start, 100'000'000);
+  EXPECT_GE(frames[1].second, frames[0].second);
+  pair.a->Close();
+  EXPECT_TRUE(pair.a->WaitClosed(5000));
+}
+
 TEST(InProcChannelTest, ConcurrentSendersAllDelivered) {
-  auto pair = MakeInProcChannelPair();
+  auto pair = MakeInProcChannelPair(Reactor::Global());
   constexpr int kSenders = 4;
   constexpr int kPerSender = 250;
   std::vector<std::thread> senders;
@@ -274,7 +348,7 @@ TEST(TcpConnectTest, RetryBridgesLateListener) {
 }
 
 TEST(InProcChannelTest, OversizedSendRejected) {
-  auto pair = MakeInProcChannelPair();
+  auto pair = MakeInProcChannelPair(Reactor::Global());
   // The inproc transport mirrors the TCP frame cap so fault-model tests see
   // identical limits on both substrates. Rejected before any copy is made.
   const Bytes oversized(kMaxFrameBytes + 1);
