@@ -4,10 +4,11 @@
 // subscriber connections, ack-clocked with at most W messages in flight per
 // link (--window 1 is the paper's strict scheme: a new message is not sent
 // on a link whose previous ACK is outstanding). The server side runs either
-// the epoll reactor (transport/reactor.h) — the library's only TCP serving
-// model — or this file's own thread-per-connection reference server
-// (TcpListener::Accept plus one blocking send/receive thread per
-// subscriber), which the reactor is measured against. The client side
+// the epoll reactor (transport/reactor.h) — the library's only TCP
+// model — or this file's own thread-per-connection reference server (a
+// polled accept on the listener's socket plus one blocking send/receive
+// thread per subscriber, over the blocking framed socket below), which the
+// reactor is measured against. The client side
 // always runs on a private reactor so 4096 subscribers never cost 4096
 // client threads and both servers face identical peers.
 //
@@ -33,9 +34,15 @@
 // scheduler noise. 1.5 is the largest threshold that holds across that
 // variance; on multicore hardware, where thread mode also pays cross-core
 // migration of 4096 runnable threads, the gap widens well past 5x.
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -43,6 +50,7 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,17 +58,171 @@
 #include "audit/report_json.h"
 #include "bench_util.h"
 #include "common/clock.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
+#include "obs/instrument.h"
 #include "transport/epoll_channel.h"
 #include "transport/reactor.h"
 #include "transport/tcp.h"
+#include "wire/wire.h"
 
 using namespace adlp;
 
 namespace {
 
 /// Server side of one run: the reactor, or the thread-per-connection
-/// reference built here from blocking TcpChannels.
+/// reference built here from blocking framed sockets.
 enum class Server { kThreadPerConn, kReactor };
+
+// --- The thread-per-connection reference ------------------------------------
+//
+// A blocking framed socket, same wire format as EpollChannel: the caller's
+// thread blocks in send() and in a polled recv(), one thread per
+// connection. This is the serving model the reactor is measured against;
+// the library itself has no blocking socket.
+
+struct TcpMetrics {
+  obs::Counter& tx_bytes = obs::metric::TransportBytes("tcp", "tx");
+  obs::Counter& rx_bytes = obs::metric::TransportBytes("tcp", "rx");
+  obs::Counter& tx_frames = obs::metric::TransportFrames("tcp", "tx");
+  obs::Counter& rx_frames = obs::metric::TransportFrames("tcp", "rx");
+
+  static TcpMetrics& Get() {
+    static TcpMetrics m;
+    return m;
+  }
+};
+
+/// How often a blocked receiver re-checks the channel's closed flag. Close()
+/// also shuts the socket down (which wakes recv immediately); the poll
+/// interval only bounds the exit latency of pathological cases, e.g. a
+/// half-read frame whose sender stalled.
+constexpr int kReceivePollMs = 100;
+
+/// Writes all of `data` to `fd`, retrying on EINTR / partial writes.
+bool WriteAll(int fd, const std::uint8_t* data, std::size_t len) {
+  while (len > 0) {
+    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+class BlockingSocket {
+ public:
+  explicit BlockingSocket(int fd) : fd_(fd) {
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+
+  ~BlockingSocket() {
+    Close();
+    // The fd is released only here, when no thread can still be inside
+    // Send/Receive: closing it from Close() could hand the fd number to an
+    // unrelated open() while a reader is still blocked in recv() on it.
+    ::close(fd_);
+  }
+
+  bool Send(BytesView payload) EXCLUDES(send_mu_) {
+    MutexLock lock(send_mu_);
+    if (closed_.load(std::memory_order_acquire)) return false;
+    const Bytes frame = wire::FramePayload(payload);
+    if (!WriteAll(fd_, frame.data(), frame.size())) {
+      Close();
+      return false;
+    }
+    TcpMetrics::Get().tx_frames.Add(1);
+    TcpMetrics::Get().tx_bytes.Add(frame.size());
+    return true;
+  }
+
+  std::optional<Bytes> Receive() {
+    std::uint8_t preamble[wire::kFramePreambleSize];
+    if (!ReadFully(preamble, sizeof(preamble))) return std::nullopt;
+    const std::uint32_t len =
+        wire::ParseFrameLength(BytesView(preamble, sizeof(preamble)));
+    if (len > transport::kMaxFrameBytes) {
+      // Corrupt or forged preamble: reject before allocating `len` bytes
+      // and drop the connection — the stream offset is unrecoverable.
+      Close();
+      return std::nullopt;
+    }
+    Bytes payload(len);
+    if (len > 0 && !ReadFully(payload.data(), len)) return std::nullopt;
+    TcpMetrics::Get().rx_frames.Add(1);
+    TcpMetrics::Get().rx_bytes.Add(sizeof(preamble) + payload.size());
+    return payload;
+  }
+
+  void Close() {
+    bool expected = false;
+    if (closed_.compare_exchange_strong(expected, true)) {
+      // Shut down only; the fd stays allocated until the destructor so a
+      // concurrent reader never sees its fd number recycled.
+      ::shutdown(fd_, SHUT_RDWR);
+    }
+  }
+
+ private:
+  /// Reads exactly `len` bytes, polling so the loop observes Close() even if
+  /// the peer never sends another byte. Returns false on EOF, error, or
+  /// channel close.
+  bool ReadFully(std::uint8_t* data, std::size_t len) {
+    while (len > 0) {
+      if (closed_.load(std::memory_order_acquire)) return false;
+      pollfd pfd{fd_, POLLIN, 0};
+      const int ready = ::poll(&pfd, 1, kReceivePollMs);
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return false;
+      }
+      if (ready == 0) continue;  // timeout: re-check closed_
+      const ssize_t n = ::recv(fd_, data, len, 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return false;
+      }
+      if (n == 0) return false;  // orderly shutdown
+      data += n;
+      len -= static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  int fd_;
+  // Serializes writers so interleaved frames never corrupt the stream; the
+  // socket itself (fd_) is kernel-synchronized and not guarded.
+  Mutex send_mu_;
+  std::atomic<bool> closed_{false};
+};
+
+/// Blocks for the next inbound connection on `listen_fd`; nullptr once
+/// `stop` is set. Polls instead of blocking in accept(): shutdown() on a
+/// listening socket does not reliably wake a blocked accept() on Linux.
+std::unique_ptr<BlockingSocket> AcceptBlocking(int listen_fd,
+                                               const std::atomic<bool>& stop) {
+  while (!stop.load(std::memory_order_acquire)) {
+    pollfd pfd{listen_fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, kReceivePollMs);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return nullptr;
+    }
+    if (ready == 0) continue;  // timeout: re-check stop
+    const int client = ::accept(listen_fd, nullptr, nullptr);
+    if (client < 0) {
+      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+      return nullptr;
+    }
+    return std::make_unique<BlockingSocket>(client);
+  }
+  return nullptr;
+}
 
 struct RunResult {
   std::size_t subs = 0;
@@ -175,7 +337,8 @@ RunResult RunOne(Server mode, std::size_t subs, std::size_t rounds,
   // --- server-side accept ---
   std::mutex accept_mu;
   std::condition_variable accept_cv;
-  std::vector<transport::ChannelPtr> thread_channels;
+  std::vector<std::shared_ptr<BlockingSocket>> thread_channels;
+  std::atomic<bool> stop_accepting{false};
   std::vector<std::shared_ptr<transport::EpollChannel>> reactor_channels;
   std::unique_ptr<transport::ReactorAcceptor> acceptor;
   std::thread accept_thread;
@@ -190,7 +353,8 @@ RunResult RunOne(Server mode, std::size_t subs, std::size_t rounds,
   } else {
     accept_thread = std::thread([&] {
       for (std::size_t i = 0; i < subs; ++i) {
-        auto channel = listener.Accept();
+        std::shared_ptr<BlockingSocket> channel =
+            AcceptBlocking(listener.NativeHandle(), stop_accepting);
         if (channel == nullptr) return;
         std::lock_guard lock(accept_mu);
         thread_channels.push_back(std::move(channel));
@@ -324,6 +488,7 @@ RunResult RunOne(Server mode, std::size_t subs, std::size_t rounds,
 
   // --- teardown ---
   if (acceptor) acceptor->Close();
+  stop_accepting.store(true, std::memory_order_release);
   listener.Close();
   if (accept_thread.joinable()) accept_thread.join();
   for (auto& channel : thread_channels) channel->Close();

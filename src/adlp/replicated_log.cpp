@@ -29,8 +29,10 @@ ReplicatedLogSink::ReplicatedLogSink(std::vector<Connector> replicas,
 }
 
 ReplicatedLogSink::~ReplicatedLogSink() {
-  // The per-replica sinks' ack-reader threads call OnReplicaAck; retire
-  // them before any other member dies.
+  // The per-replica sinks' ack handlers call OnReplicaAck on reactor
+  // loops. Each leg's destructor waits out a running one and turns later
+  // ones away, so retiring the legs first means none runs once any other
+  // member is gone.
   sinks_.clear();
 }
 

@@ -3,7 +3,8 @@
 // A single trusted logger is a single point of audit-evidence loss (and a
 // single party to bribe). `ReplicatedLogSink` uploads every frame to N
 // `LogServer` replicas — one acked-mode `ResilientLogSink` per replica, so
-// each leg keeps its own spool, reconnect backoff, and retransmission — and
+// each leg keeps its own spool, reconnect backoff, and retransmission, as a
+// reactor state machine that owns no thread — and
 // tracks a *commit watermark*: seq k is committed once a write quorum of q
 // replicas has acknowledged everything up to k. The data plane still never
 // blocks: Append fans out to the per-replica spools and returns; callers
@@ -110,8 +111,8 @@ class ReplicatedLogSink final : public LogSink {
   /// Append time of not-yet-committed seqs (commit-latency histogram).
   std::map<std::uint64_t, Timestamp> inflight_since_ GUARDED_BY(mu_);
 
-  // Destroyed first (see destructor): their ack-reader threads call back
-  // into OnReplicaAck.
+  // Destroyed first (see destructor): their ack handlers call back into
+  // OnReplicaAck, and a leg's destructor returns only once none can.
   std::vector<std::unique_ptr<ResilientLogSink>> sinks_;
 };
 

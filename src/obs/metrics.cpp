@@ -35,7 +35,9 @@ void Histogram::Reset() noexcept {
 }
 
 const std::vector<std::uint64_t>& DefaultLatencyBucketsNs() {
-  static const std::vector<std::uint64_t> buckets = [] {
+  // Never destroyed, like the registry: a reactor loop may register its
+  // first default-bucket histogram while the process exits.
+  static const auto* buckets = new std::vector<std::uint64_t>([] {
     std::vector<std::uint64_t> b;
     // 100 ns, 200, 500, 1 µs, ... 10 s: a 1-2-5 decade ladder.
     for (std::uint64_t decade = 100; decade <= 10'000'000'000ull;
@@ -45,8 +47,8 @@ const std::vector<std::uint64_t>& DefaultLatencyBucketsNs() {
       b.push_back(decade * 5);
     }
     return b;
-  }();
-  return buckets;
+  }());
+  return *buckets;
 }
 
 // ---------------------------------------------------------------------------

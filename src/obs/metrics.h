@@ -39,7 +39,7 @@
 namespace adlp::obs {
 
 /// Sorted (key, value) pairs identifying one time series of a metric name,
-/// Prometheus-style: adlp_transport_bytes_total{dir="tx",kind="tcp"}.
+/// Prometheus-style: adlp_transport_bytes_total{dir="tx",kind="epoll"}.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 namespace internal {

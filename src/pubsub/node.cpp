@@ -283,7 +283,8 @@ void Publisher::Shutdown() {
 
 // ---------------------------------------------------------------------------
 // Subscription: one connection per publisher link, read by its own receive
-// thread (the channel is an in-proc endpoint or a blocking TcpChannel).
+// thread through the channel's blocking Receive() (an in-proc endpoint, or
+// a dialled EpollChannel whose frames the reactor parses and queues).
 
 struct Node::Subscription {
   std::string topic;

@@ -5,19 +5,21 @@
 // A `Channel` is one reliable, ordered, duplex, message-framed connection
 // between exactly one publisher-side link and one subscriber-side link.
 // `Channel` is the blocking contract; `AsyncChannel` adds delivery to
-// handlers on a reactor loop, which is how every publisher link runs.
+// handlers on a reactor loop, which is how every publisher link and every
+// log sink runs.
 //
-// Three implementations:
+// Two implementations:
 //   * in-proc (inproc.h) — an `AsyncChannel` pair of in-process queues,
 //     deterministic, with an optional latency/bandwidth link model (default
 //     for experiments);
-//   * TcpChannel    — a blocking loopback TCP socket with the 4-byte length
-//     preamble, matching the paper's substrate. Every client end (subscriber
-//     receive, remote master, log uploads, sync fetches) is one of these,
-//     driven by its caller's thread;
-//   * EpollChannel  — the `AsyncChannel` server end of a TCP connection,
-//     accepted and driven by the epoll reactor (epoll_channel.h). Same wire
-//     format, so a blocking client and a reactor-driven server pair freely.
+//   * EpollChannel (epoll_channel.h) — an `AsyncChannel` over a loopback TCP
+//     socket with the 4-byte length preamble, matching the paper's
+//     substrate. Both ends of every TCP connection are one: a server end is
+//     accepted by a ReactorAcceptor, a client end is dialled by TcpConnect
+//     (tcp.h) and adopted on the same reactor. A client that keeps a thread
+//     of its own (subscription, remote master, sync fetches) reads it
+//     through the blocking Receive().
+// FaultInjectingChannel (fault_inject.h) decorates either one.
 #pragma once
 
 #include <cstddef>
@@ -64,8 +66,8 @@ class Reactor;
 /// LoopIndex() names; once the connection has closed and the last frame was
 /// delivered, the close edge runs the close handler exactly once. The two
 /// handlers never run concurrently, and either may Send on the channel.
-/// The handler slot and the close edge live here, shared by both
-/// implementations; each supplies the frames.
+/// The handler slot and the close edge live here, shared by every
+/// implementation; each supplies the frames.
 class AsyncChannel : public Channel {
  public:
   /// Runs on the loop, once per frame. The view is valid only for the
@@ -86,8 +88,14 @@ class AsyncChannel : public Channel {
   /// Blocks until the close edge has run; false on timeout.
   bool WaitClosed(std::int64_t timeout_ms) const;
 
-  /// The reactor loop the handlers run on.
+  /// Bytes Send() accepted that have not reached the transport yet (for a
+  /// socket, the kernel); 0 where Send hands each frame over at once. An
+  /// orderly shutdown waits for 0 before it closes: Close() discards them.
+  virtual std::size_t PendingSendBytes() const { return 0; }
+
+  /// The reactor loop the handlers run on, and the reactor that owns it.
   std::size_t LoopIndex() const { return loop_; }
+  Reactor& OwningReactor() const { return reactor_; }
 
   AsyncChannel(const AsyncChannel&) = delete;
   AsyncChannel& operator=(const AsyncChannel&) = delete;

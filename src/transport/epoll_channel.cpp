@@ -39,6 +39,14 @@ struct EpollMetrics {
 /// channel closes rather than buffering without bound.
 constexpr std::size_t kMaxBufferedSendBytes = 256u * 1024 * 1024;
 
+/// What a frame queued for Receive() is charged beyond its payload: the
+/// queue slot, the vector header and allocator rounding.
+constexpr std::size_t kQueuedFrameOverhead = 64;
+
+/// Reading resumes once the receive queue drains to this.
+constexpr std::size_t kReceiveLowWaterBytes =
+    EpollChannel::kReceiveHighWaterBytes / 2;
+
 /// Delay before re-arming an acceptor that hit the process fd limit.
 constexpr std::int64_t kAcceptRetryMs = 100;
 
@@ -167,7 +175,7 @@ bool EpollChannel::Send(BytesView payload) {
         need_flush = true;
       } else if (!want_write_) {
         want_write_ = true;
-        reactor_.ModFd(loop_, fd_, EPOLLIN | EPOLLOUT);
+        reactor_.ModFd(loop_, fd_, InterestLocked());
       }
     } else {
       Bytes frame = wire::FramePayload(payload);
@@ -198,20 +206,63 @@ bool EpollChannel::Send(BytesView payload) {
   return true;
 }
 
-std::optional<Bytes> EpollChannel::Receive() { return rq_.Pop(); }
+std::optional<Bytes> EpollChannel::Receive() {
+  std::optional<Bytes> frame = rq_.Pop();
+  if (frame) Dequeued(frame->size() + kQueuedFrameOverhead);
+  return frame;
+}
+
+std::size_t EpollChannel::PendingSendBytes() const {
+  MutexLock lock(wmu_);
+  return wq_bytes_;
+}
 
 void EpollChannel::Close() {
   bool expected = false;
   if (closed_.compare_exchange_strong(expected, true)) {
     // Shutdown only: the loop observes EOF/HUP and runs TearDown; the fd
-    // number stays allocated until destruction (same rule as TcpChannel).
+    // number stays allocated until destruction, so a reader still blocked
+    // on it never sees the number recycled.
     ::shutdown(fd_, SHUT_RDWR);
   }
 }
 
 void EpollChannel::DrainQueued() {
   // Frames that arrived before the handler attached drain first, in order.
-  while (auto frame = rq_.TryPop()) Deliver(BytesView(*frame));
+  while (auto frame = rq_.TryPop()) {
+    Dequeued(frame->size() + kQueuedFrameOverhead);
+    Deliver(BytesView(*frame));
+  }
+}
+
+void EpollChannel::Dequeued(std::size_t cost) {
+  const std::size_t before = rq_bytes_.fetch_sub(cost);
+  const std::size_t after = before - cost;
+  // Only a drain across the low-water mark can find the loop paused with
+  // room to read again: the loop pauses above the high-water mark and then
+  // queues nothing more. The task re-checks, as the queue may have refilled
+  // since; a later drain posts again.
+  if (before > kReceiveLowWaterBytes && after <= kReceiveLowWaterBytes) {
+    std::weak_ptr<EpollChannel> weak = weak_from_this();
+    reactor_.Post(loop_, [weak] {
+      auto self = weak.lock();
+      if (self && self->rq_bytes_.load() <= kReceiveLowWaterBytes) {
+        self->SetReadPaused(false);
+      }
+    });
+  }
+}
+
+void EpollChannel::SetReadPaused(bool paused) {
+  MutexLock lock(wmu_);
+  if (torn_down_ || read_paused_ == paused) return;
+  read_paused_ = paused;
+  reactor_.ModFd(loop_, fd_, InterestLocked());
+}
+
+std::uint32_t EpollChannel::InterestLocked() const {
+  return (read_paused_ ? 0u : std::uint32_t{EPOLLIN}) |
+         (want_write_ ? std::uint32_t{EPOLLOUT} : 0u);
 }
 
 void EpollChannel::HandleEvents(std::uint32_t events) {
@@ -229,6 +280,13 @@ void EpollChannel::ReadReady() {
       EpollMetrics::Get().rx_bytes.Add(static_cast<std::uint64_t>(n));
       if (!IngestBytes(buf, static_cast<std::size_t>(n))) {
         return;  // torn down (violation or handler close)
+      }
+      if (rq_bytes_.load() > kReceiveHighWaterBytes) {
+        // The blocking reader fell behind: leave the rest in the kernel so
+        // TCP flow control slows the sender. EPOLLHUP/EPOLLERR still
+        // report, and each report reads one more chunk toward the EOF.
+        SetReadPaused(true);
+        return;
       }
       // A short read usually means the socket is drained; if more data
       // raced in, level-triggered epoll reports it on the next pass.
@@ -307,6 +365,7 @@ void EpollChannel::DeliverFrame(BytesView frame) {
   if (async()) {
     Deliver(frame);
   } else {
+    rq_bytes_.fetch_add(frame.size() + kQueuedFrameOverhead);
     rq_.Push(Bytes(frame.begin(), frame.end()));
   }
 }
@@ -335,7 +394,7 @@ void EpollChannel::FlushWrites() {
       flush_armed_ = true;
       if (!want_write_) {
         want_write_ = true;
-        reactor_.ModFd(loop_, fd_, EPOLLIN | EPOLLOUT);
+        reactor_.ModFd(loop_, fd_, InterestLocked());
       }
       return;
     }
@@ -346,7 +405,7 @@ void EpollChannel::FlushWrites() {
   flush_armed_ = false;
   if (want_write_) {
     want_write_ = false;
-    reactor_.ModFd(loop_, fd_, EPOLLIN);
+    reactor_.ModFd(loop_, fd_, InterestLocked());
   }
 }
 

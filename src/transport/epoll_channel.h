@@ -1,21 +1,23 @@
 // Reactor-driven connection endpoints.
 //
-// EpollChannel is a `Channel` over a non-blocking socket owned by one
-// reactor loop. All read parsing happens on that loop thread; writes are
-// buffered and flushed opportunistically (EPOLLOUT is armed only while a
-// short write leaves residue). The wire format is byte-identical to
-// TcpChannel — 4-byte little-endian length preamble, `kMaxFrameBytes` cap
-// enforced before allocation — so a blocking TcpChannel client and an
-// EpollChannel server pair freely. That is how every TCP link in the tree
-// is built: servers accept on ReactorAcceptor, clients dial TcpConnect.
+// EpollChannel is the one TCP framer: a `Channel` over a non-blocking
+// socket owned by one reactor loop — 4-byte little-endian length preamble,
+// `kMaxFrameBytes` cap enforced before allocation. All read parsing happens
+// on that loop thread; writes are buffered and flushed opportunistically
+// (EPOLLOUT is armed only while a short write leaves residue). Both ends of
+// every TCP connection in the tree are one: servers accept on
+// ReactorAcceptor, clients dial TcpConnect, which adopts the socket.
 //
 // Two delivery styles:
 //   * blocking-compat: without StartAsync(), parsed frames queue and
-//     Receive() blocks on them, matching TcpChannel semantics exactly;
+//     Receive() blocks on them — how a client that keeps its own thread
+//     (subscription, remote master, sync fetches) reads. The queue is
+//     bounded (kReceiveHighWaterBytes), so TCP flow control slows the
+//     sender of a reader that falls behind;
 //   * async (the AsyncChannel contract, channel.h): StartAsync(on_frame,
-//     on_closed) delivers each frame on the loop thread — how every server
-//     and every TCP publisher link consumes its connections, so no thread
-//     blocks per connection.
+//     on_closed) delivers each frame on the loop thread — how every server,
+//     every TCP publisher link and every log sink consumes its connections,
+//     so no thread blocks per connection.
 #pragma once
 
 #include <atomic>
@@ -55,17 +57,25 @@ class EpollChannel final : public AsyncChannel,
   /// meaningful before StartAsync() — afterwards frames go to the handler.
   std::optional<Bytes> Receive() override;
 
+  std::size_t PendingSendBytes() const override EXCLUDES(wmu_);
+
   /// Closes both directions. The loop observes the shutdown and completes
   /// the teardown (handler removal, on_closed) asynchronously; use
   /// WaitClosed() to rendezvous with it. The close edge follows every
   /// teardown — peer EOF, error, Close(), or a protocol violation — with or
   /// without StartAsync(). A torn-down channel's fd is still held until
-  /// destruction (never recycled under an in-flight event).
+  /// destruction (never recycled under an in-flight event). Bytes the
+  /// socket has not taken yet (PendingSendBytes) are discarded.
   void Close() override;
 
   bool IsOpen() const override {
     return !closed_.load(std::memory_order_acquire);
   }
+
+  /// Bytes of frames queued for Receive() (each charged a fixed overhead on
+  /// top of its payload, so empty frames count too) at which the loop stops
+  /// reading the socket. A frame above the mark still queues whole.
+  static constexpr std::size_t kReceiveHighWaterBytes = 8u * 1024 * 1024;
 
  private:
   EpollChannel(Reactor& reactor, int fd, std::size_t loop);
@@ -79,6 +89,12 @@ class EpollChannel final : public AsyncChannel,
   void DeliverFrame(BytesView frame);
   void FlushWrites() EXCLUDES(wmu_);
   void TearDown() EXCLUDES(wmu_);
+  /// Drops EPOLLIN from the interest mask, or restores it.
+  void SetReadPaused(bool paused) EXCLUDES(wmu_);
+  /// Any thread: accounts for a frame taken off rq_, and resumes reading
+  /// once the queue drains to half the mark.
+  void Dequeued(std::size_t cost);
+  std::uint32_t InterestLocked() const REQUIRES(wmu_);
   std::shared_ptr<AsyncChannel> Self() override { return shared_from_this(); }
   void DrainQueued() override;
 
@@ -92,11 +108,14 @@ class EpollChannel final : public AsyncChannel,
   std::size_t rpos_ = 0;
   bool torn_down_ = false;
 
-  // Blocking-compat receive queue.
+  // Blocking-compat receive queue and its charged bytes: added on the loop
+  // before a push, subtracted by whoever pops, so never below the truth.
   ConcurrentQueue<Bytes> rq_;
+  std::atomic<std::size_t> rq_bytes_{0};
 
-  // Write-side state, shared between senders and the loop.
-  Mutex wmu_;
+  // Write-side state, shared between senders and the loop, and the
+  // interest mask both sides change.
+  mutable Mutex wmu_;
   std::deque<Bytes> wq_ GUARDED_BY(wmu_);
   // Bytes of wq_.front() already written.
   std::size_t wpos_ GUARDED_BY(wmu_) = 0;
@@ -106,6 +125,8 @@ class EpollChannel final : public AsyncChannel,
   bool flush_armed_ GUARDED_BY(wmu_) = false;
   // EPOLLOUT currently in the interest mask.
   bool want_write_ GUARDED_BY(wmu_) = false;
+  // EPOLLIN dropped from the interest mask: rq_ passed the high-water mark.
+  bool read_paused_ GUARDED_BY(wmu_) = false;
 
   std::atomic<bool> closed_{false};
 };
@@ -122,8 +143,8 @@ class ReactorAcceptor {
  public:
   using AcceptHandler = std::function<void(std::shared_ptr<EpollChannel>)>;
 
-  /// The listener must outlive the acceptor, and its Accept() must not be
-  /// used concurrently (the acceptor owns the socket's readiness).
+  /// The listener must outlive the acceptor, which owns the socket's
+  /// readiness.
   ReactorAcceptor(Reactor& reactor, TcpListener& listener,
                   AcceptHandler on_accept);
   ~ReactorAcceptor();

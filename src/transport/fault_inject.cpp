@@ -81,7 +81,22 @@ bool FaultInjectingChannel::Send(BytesView payload) {
   return true;
 }
 
-ChannelPtr WrapWithFaults(ChannelPtr inner, FaultPlan plan, Rng rng) {
+void FaultInjectingChannel::DrainQueued() {
+  // On the shared loop, so the inner channel attaches inline and hands over
+  // what queued there first. Weak: the inner channel must not keep its
+  // decorator alive.
+  std::weak_ptr<FaultInjectingChannel> weak = weak_from_this();
+  inner_->StartAsync(
+      [weak](BytesView frame) {
+        if (auto self = weak.lock()) self->Deliver(frame);
+      },
+      [weak] {
+        if (auto self = weak.lock()) self->CloseEdge();
+      });
+}
+
+std::shared_ptr<AsyncChannel> WrapWithFaults(
+    std::shared_ptr<AsyncChannel> inner, FaultPlan plan, Rng rng) {
   return std::make_shared<FaultInjectingChannel>(std::move(inner), plan, rng);
 }
 

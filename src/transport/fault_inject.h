@@ -1,13 +1,14 @@
 // Deterministic fault injection at the transport layer.
 //
-// `FaultInjectingChannel` decorates any `Channel` (in-process or TCP) and
-// perturbs the send path according to a `FaultPlan`, drawing every decision
-// from a caller-supplied deterministic Rng (src/common/rng.h) so that chaos
-// scenarios replay bit-for-bit from a seed. Faults modelled:
+// `FaultInjectingChannel` decorates any `AsyncChannel` (in-process or TCP)
+// and perturbs the send path according to a `FaultPlan`, drawing every
+// decision from a caller-supplied deterministic Rng (src/common/rng.h) so
+// that chaos scenarios replay bit-for-bit from a seed. Faults modelled:
 //
 //   * drop       — frame silently swallowed (network loss): Send() reports
 //                  success, mirroring what a one-way sender actually sees;
-//   * delay      — extra latency before the frame is forwarded;
+//   * delay      — extra latency before the frame is forwarded, slept on
+//                  the sending thread (for a log sink, its reactor loop);
 //   * duplicate  — frame forwarded twice (retransmission artefact);
 //   * corrupt    — one random byte flipped before forwarding;
 //   * disconnect — after a fixed number of forwarded frames the inner
@@ -15,11 +16,14 @@
 //                  modelling a crashed peer / cut connection.
 //
 // The receive path is passed through untouched: ADLP's fault model perturbs
-// what a component manages to get onto the wire, and the disconnect fault is
-// bidirectional anyway (closing the inner channel unblocks its receiver).
+// what a component manages to get onto the wire. StartAsync() on the
+// decorator takes over the inner channel's frames and close edge and
+// forwards both, on the inner channel's loop, so a disconnect fault reaches
+// the decorator's close handler like a real cut would.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "common/mutex.h"
 #include "common/rng.h"
@@ -51,15 +55,24 @@ struct FaultStats {
   bool disconnected = false;
 };
 
-class FaultInjectingChannel final : public Channel {
+class FaultInjectingChannel final
+    : public AsyncChannel,
+      public std::enable_shared_from_this<FaultInjectingChannel> {
  public:
-  FaultInjectingChannel(ChannelPtr inner, FaultPlan plan, Rng rng)
-      : inner_(std::move(inner)), plan_(plan), rng_(rng) {}
+  FaultInjectingChannel(std::shared_ptr<AsyncChannel> inner, FaultPlan plan,
+                        Rng rng)
+      : AsyncChannel(inner->OwningReactor(), inner->LoopIndex()),
+        inner_(std::move(inner)),
+        plan_(plan),
+        rng_(rng) {}
 
   bool Send(BytesView payload) override EXCLUDES(mu_);
   std::optional<Bytes> Receive() override { return inner_->Receive(); }
   void Close() override { inner_->Close(); }
   bool IsOpen() const override { return inner_->IsOpen(); }
+  std::size_t PendingSendBytes() const override {
+    return inner_->PendingSendBytes();
+  }
 
   FaultStats Stats() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
@@ -67,7 +80,10 @@ class FaultInjectingChannel final : public Channel {
   }
 
  private:
-  ChannelPtr inner_;
+  std::shared_ptr<AsyncChannel> Self() override { return shared_from_this(); }
+  void DrainQueued() override;
+
+  const std::shared_ptr<AsyncChannel> inner_;
   FaultPlan plan_;
   mutable Mutex mu_;
   Rng rng_ GUARDED_BY(mu_);
@@ -75,6 +91,7 @@ class FaultInjectingChannel final : public Channel {
 };
 
 /// Convenience wrapper keeping call sites terse.
-ChannelPtr WrapWithFaults(ChannelPtr inner, FaultPlan plan, Rng rng);
+std::shared_ptr<AsyncChannel> WrapWithFaults(
+    std::shared_ptr<AsyncChannel> inner, FaultPlan plan, Rng rng);
 
 }  // namespace adlp::transport

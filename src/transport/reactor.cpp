@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <system_error>
 #include <unordered_map>
 
@@ -27,13 +28,13 @@ std::uint64_t TimerWheel::Schedule(std::int64_t delay_ms, Callback cb) {
                     std::move(cb));
 }
 
-std::uint64_t TimerWheel::ScheduleAt(std::int64_t deadline_ms, Callback cb) {
+std::uint64_t TimerWheel::ScheduleAt(std::int64_t due_ms, Callback cb) {
   Timer t;
   t.id = next_id_++;
-  t.deadline_ms = std::max(deadline_ms, now_ms_);
+  t.due_ms = std::max(due_ms, now_ms_);
   // Ceiling tick: a timer never fires before its deadline; granularity only
   // delays it by at most one tick.
-  t.deadline_tick = (t.deadline_ms + tick_ms_ - 1) / tick_ms_;
+  t.deadline_tick = (t.due_ms + tick_ms_ - 1) / tick_ms_;
   if (t.deadline_tick <= current_tick_) t.deadline_tick = current_tick_ + 1;
   t.cb = std::move(cb);
   const std::uint64_t id = t.id;
@@ -79,8 +80,8 @@ std::vector<TimerWheel::Callback> TimerWheel::Advance(std::int64_t now_ms) {
     }
     std::sort(expired.begin(), expired.end(),
               [](const Timer& a, const Timer& b) {
-                return a.deadline_ms != b.deadline_ms
-                           ? a.deadline_ms < b.deadline_ms
+                return a.due_ms != b.due_ms
+                           ? a.due_ms < b.due_ms
                            : a.id < b.id;
               });
     for (Timer& t : expired) due.push_back(std::move(t.cb));
@@ -362,6 +363,22 @@ void Reactor::Stop() {
   }
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
+  }
+  // Drop what never ran while every loop is still whole: a dropped closure
+  // may own the last reference to a channel, whose destructor calls back
+  // into this reactor (RemoveFd) and may post again.
+  for (bool dropped = true; dropped;) {
+    dropped = false;
+    for (auto& loop : loops_) {
+      std::vector<Task> tasks;
+      std::vector<TimerWheel::Callback> timers;
+      {
+        MutexLock lock(loop->mu);
+        tasks.swap(loop->tasks);
+        timers = loop->wheel.Advance(std::numeric_limits<std::int64_t>::max());
+      }
+      dropped = dropped || !tasks.empty() || !timers.empty();
+    }
   }
   for (auto& loop : loops_) {
     MutexLock lock(loop->mu);

@@ -1,9 +1,11 @@
 // Epoll reactor: a fixed pool of event-loop threads multiplexing many
-// non-blocking connections. It is the only way a TCP server is driven: the
-// node's data listener, MasterService and LogServerService all accept and
-// serve on it, so C10k-scale fan-out costs loop wakeups, not threads. Every
-// publisher link, in-proc or TCP, runs on it too. Clients stay blocking
-// TcpChannels on their own threads.
+// non-blocking connections. It is the only way a TCP connection is driven:
+// the node's data listener, MasterService and LogServerService all accept
+// and serve on it, so C10k-scale fan-out costs loop wakeups, not threads,
+// and every dialled client end is adopted on it too. Every publisher link,
+// in-proc or TCP, and every log sink (spool pump, acks, reconnect backoff)
+// runs on it. Clients that keep a thread of their own block in the adopted
+// channel's Receive().
 //
 // Each loop owns an epoll instance, an eventfd for cross-thread wakeup, and
 // a hashed timer wheel for backoff/timeout scheduling. Connections
@@ -53,7 +55,7 @@ class TimerWheel {
   /// `now_ms`). Deadlines at or before the current time fire on the next
   /// Advance(). Lets a caller anchor delays at its own clock reading
   /// without advancing the wheel (which would hand it expired callbacks).
-  std::uint64_t ScheduleAt(std::int64_t deadline_ms, Callback cb);
+  std::uint64_t ScheduleAt(std::int64_t due_ms, Callback cb);
 
   /// True if the timer existed and was removed before firing.
   bool Cancel(std::uint64_t id);
@@ -74,7 +76,7 @@ class TimerWheel {
   struct Timer {
     std::uint64_t id = 0;
     std::int64_t deadline_tick = 0;
-    std::int64_t deadline_ms = 0;
+    std::int64_t due_ms = 0;
     Callback cb;
   };
 
@@ -155,8 +157,10 @@ class Reactor {
   /// flight may still complete (channels handle this with weak handles).
   void RemoveFd(std::size_t loop, int fd);
 
-  /// Stops all loops and joins their threads. Pending tasks are dropped;
-  /// registered fds are left open (their owners close them). Idempotent.
+  /// Stops all loops and joins their threads. Pending tasks and timers are
+  /// dropped before it returns, while every loop is still whole, so what
+  /// they capture may call back into the reactor as it dies; registered
+  /// fds are left open (their owners close them). Idempotent.
   void Stop();
 
  private:

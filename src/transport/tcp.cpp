@@ -3,158 +3,28 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <limits>
-#include <cstring>
 #include <system_error>
 #include <thread>
 
 #include "common/clock.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-#include "obs/instrument.h"
-#include "wire/wire.h"
+#include "transport/epoll_channel.h"
+#include "transport/reactor.h"
 
 namespace adlp::transport {
 
 namespace {
 
-struct TcpMetrics {
-  obs::Counter& tx_bytes = obs::metric::TransportBytes("tcp", "tx");
-  obs::Counter& rx_bytes = obs::metric::TransportBytes("tcp", "rx");
-  obs::Counter& tx_frames = obs::metric::TransportFrames("tcp", "tx");
-  obs::Counter& rx_frames = obs::metric::TransportFrames("tcp", "rx");
-
-  static TcpMetrics& Get() {
-    static TcpMetrics m;
-    return m;
-  }
-};
-
 [[noreturn]] void ThrowErrno(const char* what) {
   throw std::system_error(errno, std::generic_category(), what);
 }
-
-/// How often a blocked receiver re-checks the channel's closed flag. Close()
-/// also shuts the socket down (which wakes recv immediately); the poll
-/// interval only bounds the exit latency of pathological cases, e.g. a
-/// half-read frame whose sender stalled.
-constexpr int kReceivePollMs = 100;
-
-/// Writes all of `data` to `fd`, retrying on EINTR / partial writes.
-bool WriteAll(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-class TcpChannel final : public Channel {
- public:
-  explicit TcpChannel(int fd) : fd_(fd) {
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  ~TcpChannel() override {
-    Close();
-    // The fd is released only here, when no thread can still be inside
-    // Send/Receive (they run on a live Channel reference): closing it from
-    // Close() could hand the fd number to an unrelated open() while a reader
-    // is still blocked in recv() on it.
-    ::close(fd_);
-  }
-
-  bool Send(BytesView payload) override EXCLUDES(send_mu_) {
-    MutexLock lock(send_mu_);
-    if (closed_.load(std::memory_order_acquire)) return false;
-    const Bytes frame = wire::FramePayload(payload);
-    if (!WriteAll(fd_, frame.data(), frame.size())) {
-      Close();
-      return false;
-    }
-    TcpMetrics::Get().tx_frames.Add(1);
-    TcpMetrics::Get().tx_bytes.Add(frame.size());
-    return true;
-  }
-
-  std::optional<Bytes> Receive() override {
-    std::uint8_t preamble[wire::kFramePreambleSize];
-    if (!ReadFully(preamble, sizeof(preamble))) return std::nullopt;
-    const std::uint32_t len =
-        wire::ParseFrameLength(BytesView(preamble, sizeof(preamble)));
-    if (len > kMaxFrameBytes) {
-      // Corrupt or forged preamble: reject before allocating `len` bytes
-      // and drop the connection — the stream offset is unrecoverable.
-      Close();
-      return std::nullopt;
-    }
-    Bytes payload(len);
-    if (len > 0 && !ReadFully(payload.data(), len)) return std::nullopt;
-    TcpMetrics::Get().rx_frames.Add(1);
-    TcpMetrics::Get().rx_bytes.Add(sizeof(preamble) + payload.size());
-    return payload;
-  }
-
-  void Close() override {
-    bool expected = false;
-    if (closed_.compare_exchange_strong(expected, true)) {
-      // Shut down only; the fd stays allocated until the destructor so a
-      // concurrent reader never sees its fd number recycled.
-      ::shutdown(fd_, SHUT_RDWR);
-    }
-  }
-
-  bool IsOpen() const override {
-    return !closed_.load(std::memory_order_acquire);
-  }
-
- private:
-  /// Reads exactly `len` bytes, polling so the loop observes Close() (e.g.
-  /// a LogServerService shutdown) even if the peer never sends another byte.
-  /// Returns false on EOF, error, or channel close.
-  bool ReadFully(std::uint8_t* data, std::size_t len) {
-    while (len > 0) {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      pollfd pfd{fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, kReceivePollMs);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      if (ready == 0) continue;  // timeout: re-check closed_
-      const ssize_t n = ::recv(fd_, data, len, 0);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      if (n == 0) return false;  // orderly shutdown
-      data += n;
-      len -= static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  int fd_;
-  // Serializes writers so interleaved frames never corrupt the stream; the
-  // socket itself (fd_) is kernel-synchronized and not guarded.
-  Mutex send_mu_;
-  std::atomic<bool> closed_{false};
-};
 
 /// One connect attempt. Returns the connected fd, or -1 with errno set.
 /// `timeout_ms <= 0` leaves the attempt bounded only by the kernel's own
@@ -240,39 +110,11 @@ int ConnectOnce(const std::string& host, std::uint16_t port,
 int ConnectWithRetries(std::uint16_t port, const TcpConnectOptions& options) {
   std::int64_t delay_ms = options.retry_delay_ms;
   const int attempts = std::max(options.attempts, 1);
-  // The overall deadline is fixed once, before the first attempt: every
-  // per-attempt timeout and retry sleep is capped by the time left, so the
-  // caller's budget holds regardless of how attempts fail (fast refusal,
-  // EINTR storms, or a blackholed route).
-  const std::int64_t deadline_ns =
-      options.deadline_ms > 0 ? MonotonicNowNs() + options.deadline_ms * 1'000'000
-                              : 0;
-  const auto remaining_ms = [deadline_ns]() -> std::int64_t {
-    return (deadline_ns - MonotonicNowNs() + 999'999) / 1'000'000;
-  };
   for (int attempt = 0;; ++attempt) {
-    std::int64_t timeout_ms = options.connect_timeout_ms;
-    if (deadline_ns > 0) {
-      const std::int64_t left = remaining_ms();
-      if (left <= 0) {
-        errno = ETIMEDOUT;
-        return -1;
-      }
-      timeout_ms = timeout_ms > 0 ? std::min(timeout_ms, left) : left;
-    }
-    const int fd = ConnectOnce(options.host, port, timeout_ms);
+    const int fd = ConnectOnce(options.host, port, options.connect_timeout_ms);
     if (fd >= 0) return fd;
     if (attempt + 1 >= attempts) return -1;
-    std::int64_t sleep_ms = delay_ms;
-    if (deadline_ns > 0) {
-      const std::int64_t left = remaining_ms();
-      if (left <= 0) {
-        errno = ETIMEDOUT;
-        return -1;
-      }
-      sleep_ms = std::min(sleep_ms, left);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     delay_ms = std::min(delay_ms * 2, options.max_retry_delay_ms);
   }
 }
@@ -306,60 +148,25 @@ TcpListener::~TcpListener() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-ChannelPtr TcpListener::Accept() {
-  // Poll instead of blocking in accept(): shutdown() on a listening socket
-  // does not reliably wake a blocked accept() on Linux (it fails with
-  // ENOTCONN), so Close() is observed via the flag between poll rounds —
-  // the same pattern TcpChannel::ReadFully uses.
-  while (!closed_.load(std::memory_order_acquire)) {
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kReceivePollMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return nullptr;
-    }
-    if (ready == 0) continue;  // timeout: re-check closed_
-    const int client = ::accept(fd_, nullptr, nullptr);
-    if (client < 0) {
-      // EAGAIN happens when the listening socket was made non-blocking (a
-      // ReactorAcceptor used it earlier) and the connection vanished
-      // between poll and accept.
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return nullptr;
-    }
-    if (closed_.load(std::memory_order_acquire)) {
-      ::close(client);
-      return nullptr;
-    }
-    return std::make_shared<TcpChannel>(client);
-  }
-  return nullptr;
-}
-
 void TcpListener::Close() {
-  bool expected = false;
-  if (closed_.compare_exchange_strong(expected, true)) {
-    // Shut down only (wakes a blocked accept() with an error); the fd stays
-    // allocated until the destructor so a concurrent Accept() never sees its
-    // fd number recycled by an unrelated open().
-    ::shutdown(fd_, SHUT_RDWR);
-  }
+  // Shut down only (refuses later dials); the fd stays allocated until the
+  // destructor so an acceptor still polling it never sees its fd number
+  // recycled by an unrelated open().
+  ::shutdown(fd_, SHUT_RDWR);
 }
 
-ChannelPtr TcpConnect(std::uint16_t port) {
-  return TcpConnect(port, TcpConnectOptions{});
-}
-
-ChannelPtr TcpConnect(std::uint16_t port, const TcpConnectOptions& options) {
+std::shared_ptr<AsyncChannel> TcpConnect(std::uint16_t port,
+                                         const TcpConnectOptions& options) {
   const int fd = ConnectWithRetries(port, options);
   if (fd < 0) ThrowErrno("connect");
-  return std::make_shared<TcpChannel>(fd);
+  return EpollChannel::Adopt(Reactor::Global(), fd);
 }
 
-ChannelPtr TryTcpConnect(std::uint16_t port, const TcpConnectOptions& options) {
+std::shared_ptr<AsyncChannel> TryTcpConnect(std::uint16_t port,
+                                            const TcpConnectOptions& options) {
   const int fd = ConnectWithRetries(port, options);
   if (fd < 0) return nullptr;
-  return std::make_shared<TcpChannel>(fd);
+  return EpollChannel::Adopt(Reactor::Global(), fd);
 }
 
 int TryTcpConnectFd(std::uint16_t port, const TcpConnectOptions& options) {

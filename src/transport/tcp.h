@@ -1,16 +1,23 @@
 // Loopback TCP transport: real sockets, 4-byte length preamble per message
 // (the framing the paper attributes to the ROS transport layer).
+//
+// A dial blocks until the connection is up, then hands the socket to
+// Reactor::Global() as an adopted EpollChannel, so every TCP end in the
+// tree shares one framer. The first dial therefore starts the global
+// reactor's loop threads, also in a client-only process such as
+// `adlp_audit --replica-addr`.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "transport/channel.h"
 
 namespace adlp::transport {
 
-/// Listening socket bound to 127.0.0.1. Port 0 picks a free port.
+/// Listening socket bound to 127.0.0.1. Port 0 picks a free port. Servers
+/// accept on it with a ReactorAcceptor.
 class TcpListener {
  public:
   explicit TcpListener(std::uint16_t port = 0);
@@ -22,12 +29,9 @@ class TcpListener {
   /// Bound port (useful after binding port 0).
   std::uint16_t Port() const { return port_; }
 
-  /// Blocks for the next inbound connection; nullptr once closed.
-  ChannelPtr Accept();
-
-  /// Stops Accept() (observed within one poll interval). Safe to call from
-  /// another thread: the socket is only shut down here; the fd is released
-  /// in the destructor, when no thread can still be polling it.
+  /// Stops accepting: later dials are refused. The socket is only shut down
+  /// here; the fd is released in the destructor, so an acceptor still
+  /// polling it never sees its fd number recycled.
   void Close();
 
   /// Raw listening socket, for callers that drive readiness themselves
@@ -36,7 +40,6 @@ class TcpListener {
 
  private:
   int fd_ = -1;
-  std::atomic<bool> closed_{false};
   std::uint16_t port_ = 0;
 };
 
@@ -51,33 +54,24 @@ struct TcpConnectOptions {
   /// `max_retry_delay_ms`.
   std::int64_t retry_delay_ms = 50;
   std::int64_t max_retry_delay_ms = 1000;
-  /// Overall wall-clock budget across every attempt, retry sleep, and
-  /// EINTR-resumed wait. <= 0 means no overall bound (per-attempt timeouts
-  /// and the attempt count still apply). With a budget, each attempt's
-  /// connect timeout and each retry sleep are capped by the time remaining,
-  /// so the caller's deadline holds even when connect() keeps getting
-  /// interrupted or the route blackholes.
-  std::int64_t deadline_ms = 0;
   /// Target address (IPv4 dotted quad).
   std::string host = "127.0.0.1";
 };
 
-/// Connects to 127.0.0.1:`port`. Throws std::system_error on failure.
-ChannelPtr TcpConnect(std::uint16_t port);
-
-/// As above, honouring timeout/retry options. Throws std::system_error once
-/// all attempts are exhausted.
-ChannelPtr TcpConnect(std::uint16_t port, const TcpConnectOptions& options);
+/// Connects to 127.0.0.1:`port`, honouring timeout/retry options. Throws
+/// std::system_error once all attempts are exhausted.
+std::shared_ptr<AsyncChannel> TcpConnect(
+    std::uint16_t port, const TcpConnectOptions& options = {});
 
 /// Non-throwing variant: nullptr once all attempts are exhausted. This is
 /// the building block for reconnect loops (ResilientLogSink, RemoteMaster),
 /// where a dead peer is an expected state rather than an error.
-ChannelPtr TryTcpConnect(std::uint16_t port,
-                         const TcpConnectOptions& options = {});
+std::shared_ptr<AsyncChannel> TryTcpConnect(
+    std::uint16_t port, const TcpConnectOptions& options = {});
 
 /// As TryTcpConnect but returns the raw connected socket (-1 once all
-/// attempts are exhausted), for callers that wrap the fd themselves
-/// (EpollChannel::Adopt). The caller owns the fd.
+/// attempts are exhausted), for callers that adopt the fd on a reactor of
+/// their own (EpollChannel::Adopt). The caller owns the fd.
 int TryTcpConnectFd(std::uint16_t port, const TcpConnectOptions& options = {});
 
 }  // namespace adlp::transport

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -336,17 +337,17 @@ TEST(RepairGapHoldTest, ServerClosesConnectionOnGappedUpload) {
 }
 
 TEST(RepairGapHoldTest, GapHeldLegKeepsRetryingAndDeliversOnceGapIsFilled) {
-  // Regression: the gap-hold close must not wedge the uploader. The sink's
-  // flusher writes every spooled frame into the socket before the server's
-  // close is observed; only the ack reader sees the EOF. It must retire the
-  // channel and rewind the send cursor, or the leg parks forever waiting
-  // for acks that can never come — and the replica silently never recovers
-  // even after repair fills the gap.
+  // Regression: the gap-hold close must not wedge the uploader. The sink
+  // writes every spooled frame into the socket before the server's close is
+  // observed; only the connection's close edge sees the EOF. It must retire
+  // the channel and rewind the send cursor, or the leg parks forever
+  // waiting for acks that can never come — and the replica silently never
+  // recovers even after repair fills the gap.
   proto::LogServer server;
   proto::LogServerService service(server, 0);
   const std::uint16_t port = service.Port();
   std::atomic<bool> reachable{false};
-  auto connector = [&]() -> transport::ChannelPtr {
+  auto connector = [&]() -> std::shared_ptr<transport::AsyncChannel> {
     if (!reachable.load()) return nullptr;
     return transport::TryTcpConnect(
         port, transport::TcpConnectOptions{1, 200, 10, 50});
@@ -378,6 +379,43 @@ TEST(RepairGapHoldTest, GapHeldLegKeepsRetryingAndDeliversOnceGapIsFilled) {
   EXPECT_TRUE(sink.Drain(std::chrono::seconds(5)));
   EXPECT_EQ(sink.Stats().acked_seq, 6u);
   EXPECT_EQ(server.UploadWatermark("sink-a"), 6u);
+  service.Shutdown();
+}
+
+TEST(RepairGapHoldTest, GapHeldLegBacksOffBetweenReconnects) {
+  // Regression: every successful dial reset the leg's backoff, so a
+  // gap-held leg redialled at once and resent its whole unacked spool —
+  // thousands of connections in half a second, none of them acked. A
+  // connection the server closes without an ack is a failed attempt: the
+  // default backoff (10 ms doubling to 2 s) allows about six dials in
+  // 500 ms.
+  proto::LogServer server;
+  proto::LogServerService service(server, 0);
+  const std::uint16_t port = service.Port();
+  std::atomic<bool> reachable{false};
+  auto connector = [&]() -> std::shared_ptr<transport::AsyncChannel> {
+    if (!reachable.load()) return nullptr;
+    return transport::TryTcpConnect(
+        port, transport::TcpConnectOptions{1, 200, 10, 50});
+  };
+  proto::ResilientLogSink::Options options;
+  options.spool_capacity = 4;
+  options.sink_id = "sink-a";
+  proto::ResilientLogSink sink(connector, options);
+
+  // Offline, the spool evicts seqs 1-6 unacked; the replay leads with 7.
+  for (std::uint64_t i = 1; i <= 10; ++i) sink.AppendAcked(MakeEntry(i));
+  EXPECT_EQ(sink.Stats().entries_evicted_unacked, 6u);
+
+  reachable.store(true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const proto::SinkStats stats = sink.Stats();
+  EXPECT_GE(stats.reconnects, 1u) << "the leg must keep retrying";
+  EXPECT_LE(stats.reconnects, 10u) << "the leg must back off between dials";
+  // Each connection resends at most the four spooled frames.
+  EXPECT_LE(stats.entries_sent, 4 * (stats.reconnects + 1));
+  EXPECT_EQ(stats.acked_seq, 0u);
+  EXPECT_EQ(server.EntryCount(), 0u);
   service.Shutdown();
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -75,7 +76,7 @@ TEST(ReplicatedLogSinkTest, EmptyFleetIsRejected) {
 
 TEST(ReplicatedLogSinkTest, QuorumDefaultsToMajorityAndClamps) {
   // Connectors that never connect: quorum math needs no live fleet.
-  auto down = []() -> transport::ChannelPtr { return nullptr; };
+  auto down = []() -> std::shared_ptr<transport::AsyncChannel> { return nullptr; };
   {
     ReplicatedLogSink sink({down, down, down},
                            {.replica = FastLegOptions()});
@@ -131,10 +132,10 @@ TEST(ReplicatedLogSinkTest, CommitStallsBelowQuorumThenRecovers) {
   auto base = fleet.Connectors();
   std::vector<ReplicatedLogSink::Connector> connectors;
   connectors.push_back(base[0]);
-  connectors.push_back([&, c = base[1]]() -> transport::ChannelPtr {
+  connectors.push_back([&, c = base[1]]() -> std::shared_ptr<transport::AsyncChannel> {
     return up1.load() ? c() : nullptr;
   });
-  connectors.push_back([&, c = base[2]]() -> transport::ChannelPtr {
+  connectors.push_back([&, c = base[2]]() -> std::shared_ptr<transport::AsyncChannel> {
     return up2.load() ? c() : nullptr;
   });
   ReplicatedLogSink sink(std::move(connectors),
@@ -167,7 +168,7 @@ TEST(ReplicatedLogSinkTest, ReplicaDropRetransmitsExactlyOnce) {
   std::vector<ReplicatedLogSink::Connector> connectors;
   connectors.push_back(base[0]);
   connectors.push_back(base[1]);
-  connectors.push_back([&, c = base[2]]() -> transport::ChannelPtr {
+  connectors.push_back([&, c = base[2]]() -> std::shared_ptr<transport::AsyncChannel> {
     auto inner = c();
     if (!inner) return nullptr;
     transport::FaultPlan plan;
@@ -208,7 +209,7 @@ TEST(ReplicatedLogSinkTest, ReconnectMustNotReplayUnackedKeyAheadOfEntries) {
   LogServer& server = *fleet.servers[0];
   const std::uint16_t port = fleet.services[0]->Port();
   std::atomic<int> connections{0};
-  ResilientLogSink::Connector connector = [&]() -> transport::ChannelPtr {
+  ResilientLogSink::Connector connector = [&]() -> std::shared_ptr<transport::AsyncChannel> {
     auto inner = transport::TryTcpConnect(
         port, transport::TcpConnectOptions{1, 200, 10, 50});
     if (!inner) return nullptr;
@@ -253,6 +254,76 @@ TEST(ReplicatedLogSinkTest, SingleReplicaDegeneratesToAckedSink) {
   EXPECT_TRUE(sink.DrainCommitted(std::chrono::seconds(5)));
   EXPECT_EQ(fleet.servers[0]->EntryCount(), 4u);
   EXPECT_EQ(sink.CommittedSeq(), 4u);
+}
+
+TEST(ReplicatedLogSinkTest, DestroyWhileAcksInFlight) {
+  // Each leg's ack handler calls back into the replicated sink. Destroying
+  // the sink mid-stream must wait out a running callback and turn later
+  // ones away; a late one would touch freed state (caught under ASan and
+  // TSan).
+  Fleet fleet(3);
+  for (int round = 0; round < 10; ++round) {
+    auto sink = std::make_unique<ReplicatedLogSink>(
+        fleet.Connectors(), ReplicatedLogSinkOptions{.replica = FastLegOptions()});
+    for (std::uint64_t i = 0; i < 200; ++i) sink->Append(EntryWithSeq(i));
+    ASSERT_TRUE(WaitFor([&] { return sink->CommittedSeq() > 0; }));
+    sink.reset();
+  }
+}
+
+// --- Thread budget -----------------------------------------------------------
+
+/// Threads in this process right now.
+std::size_t ThreadCount() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ThreadBudgetTest, ConnectedSinksAddNoThreads) {
+  // A sink is a state machine on the shared reactor: a connected legacy
+  // sink, a connected acked sink and a 3-replica quorum sink with every leg
+  // acked own no thread of their own.
+  Fleet fleet(3);  // the services warm Reactor::Global()
+  const std::uint16_t port = fleet.services[0]->Port();
+  const auto baseline = static_cast<std::int64_t>(ThreadCount());
+  const auto added = [&] {
+    return static_cast<std::int64_t>(ThreadCount()) - baseline;
+  };
+
+  {
+    ResilientLogSink legacy(port, FastLegOptions());
+    legacy.Append(EntryWithSeq(0));
+    ASSERT_TRUE(WaitFor([&] { return fleet.servers[0]->EntryCount() == 1; }));
+    ASSERT_TRUE(legacy.Connected());
+    EXPECT_LE(added(), 0) << "legacy sink";
+  }
+  {
+    ResilientLogSinkOptions options = FastLegOptions();
+    options.sink_id = "budget-acked";
+    ResilientLogSink acked(port, options);
+    const std::uint64_t seq = acked.AppendAcked(EntryWithSeq(1));
+    ASSERT_TRUE(WaitFor([&] { return acked.Stats().acked_seq == seq; }));
+    ASSERT_TRUE(acked.Connected());
+    EXPECT_LE(added(), 0) << "acked sink";
+  }
+  {
+    ReplicatedLogSink replicated(
+        fleet.Connectors(),
+        {.sink_id = "budget-repl", .replica = FastLegOptions()});
+    replicated.Append(EntryWithSeq(2));
+    ASSERT_TRUE(WaitFor([&] {
+      for (const std::uint64_t acked : replicated.Stats().replica_acked) {
+        if (acked != replicated.LastSeq()) return false;
+      }
+      return true;
+    }));
+    EXPECT_LE(added(), 0) << "3-replica sink";
+  }
 }
 
 }  // namespace

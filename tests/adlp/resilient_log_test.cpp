@@ -4,13 +4,19 @@
 #include "adlp/resilient_log.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "adlp/remote_log.h"
 #include "test_util.h"
 #include "transport/fault_inject.h"
+#include "wire/wire.h"
 
 namespace adlp::proto {
 namespace {
@@ -74,7 +80,7 @@ TEST(ResilientLogSinkTest, LoggerDyingMidStreamReplaysInOrder) {
   // clean. This makes "the logger died under us" deterministic: the 6th
   // frame fails cleanly instead of racing TCP buffers.
   std::atomic<int> connections{0};
-  auto connector = [&]() -> transport::ChannelPtr {
+  auto connector = [&]() -> std::shared_ptr<transport::AsyncChannel> {
     auto inner = transport::TryTcpConnect(
         port, transport::TcpConnectOptions{1, 200, 10, 50});
     if (!inner) return nullptr;
@@ -114,7 +120,7 @@ TEST(ResilientLogSinkTest, SpoolOverflowDropsOldestAndCounts) {
   auto service = std::make_unique<LogServerService>(server, 0);
   const std::uint16_t port = service->Port();
   std::atomic<bool> reachable{false};
-  auto connector = [&]() -> transport::ChannelPtr {
+  auto connector = [&]() -> std::shared_ptr<transport::AsyncChannel> {
     if (!reachable.load()) return nullptr;
     return transport::TryTcpConnect(
         port, transport::TcpConnectOptions{1, 200, 10, 50});
@@ -146,7 +152,7 @@ TEST(ResilientLogSinkTest, AckedModeSurfacesEvictedUnackedFrames) {
   // server had NOT acknowledged — past the spool horizon no retransmission
   // can ever deliver them, which is exactly the condition anti-entropy
   // repair exists for, yet SinkStats gave operators no way to see it.
-  auto connector = []() -> transport::ChannelPtr { return nullptr; };
+  auto connector = []() -> std::shared_ptr<transport::AsyncChannel> { return nullptr; };
   ResilientLogSink::Options options = FastSinkOptions();
   options.spool_capacity = 4;
   options.sink_id = "sink-a";
@@ -170,7 +176,7 @@ TEST(ResilientLogSinkTest, KeysReRegisteredOnFreshLoggerState) {
   const std::uint16_t port = service->Port();
 
   std::atomic<int> connections{0};
-  auto connector = [&]() -> transport::ChannelPtr {
+  auto connector = [&]() -> std::shared_ptr<transport::AsyncChannel> {
     auto inner = transport::TryTcpConnect(
         port, transport::TcpConnectOptions{1, 200, 10, 50});
     if (!inner) return nullptr;
@@ -218,6 +224,83 @@ TEST(ResilientLogSinkTest, StatsCountSends) {
   EXPECT_EQ(stats.entries_dropped, 0u);
   EXPECT_EQ(stats.reconnects, 0u);
   EXPECT_TRUE(WaitFor([&] { return server.EntryCount() == 8; }));
+  service.Shutdown();
+}
+
+TEST(ResilientLogSinkTest, DrainWaitsForTheConnectionSendQueue) {
+  // Send never blocks, so a frame larger than the socket buffers still sits
+  // in the connection's send queue when the spool empties. Drain must wait
+  // for it: the destructor's close would discard it.
+  transport::TcpListener listener(0);
+  auto sink = std::make_unique<ResilientLogSink>(listener.Port(),
+                                                 FastSinkOptions());
+  const int fd = ::accept(listener.NativeHandle(), nullptr, nullptr);
+  ASSERT_GE(fd, 0);
+  LogEntry big = EntryWithSeq(0);
+  big.data.assign(16u << 20, 0xab);
+  const Bytes expected = wire::FramePayload(SerializeLogUpload(big));
+  sink->Append(big);
+  // A slow reader: nothing is read until well after the append.
+  Bytes received;
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    std::uint8_t buf[64 * 1024];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      received.insert(received.end(), buf, buf + n);
+    }
+  });
+  EXPECT_TRUE(sink->Drain(std::chrono::seconds(10)));
+  sink.reset();
+  reader.join();
+  ::close(fd);
+  EXPECT_EQ(received.size(), expected.size());
+  EXPECT_TRUE(received == expected);
+}
+
+TEST(ResilientLogSinkTest, DestroyWithBackoffTimerArmed) {
+  // The reconnect backoff is a reactor timer. Destroying the sink while it
+  // is armed must leave nothing that still dials: the connector's captures
+  // may die with the sink.
+  auto dials = std::make_shared<std::atomic<int>>(0);
+  ResilientLogSink::Options options = FastSinkOptions();
+  options.backoff = transport::BackoffPolicy{100, 100, 1.0, 0.0};
+  auto sink = std::make_unique<ResilientLogSink>(
+      [dials]() -> std::shared_ptr<transport::AsyncChannel> {
+        dials->fetch_add(1);
+        return nullptr;
+      },
+      options);
+  ASSERT_TRUE(WaitFor([&] { return sink->Stats().connect_failures == 1; }));
+  sink.reset();  // the 100 ms retry timer is still armed
+  const int at_destruction = dials->load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_EQ(dials->load(), at_destruction);
+}
+
+TEST(ResilientLogSinkTest, NoAckCallbackAfterDestructorReturns) {
+  // on_ack runs on the connection's reactor loop. Destroying the sink while
+  // acks stream in must wait out a running callback and drop the rest.
+  LogServer server;
+  LogServerService service(server, 0);
+  for (int round = 0; round < 20; ++round) {
+    auto destroyed = std::make_shared<std::atomic<bool>>(false);
+    auto late = std::make_shared<std::atomic<bool>>(false);
+    auto acks = std::make_shared<std::atomic<int>>(0);
+    ResilientLogSink::Options options = FastSinkOptions();
+    options.sink_id = "sink-" + std::to_string(round);
+    options.on_ack = [destroyed, late, acks](std::uint64_t) {
+      if (destroyed->load()) late->store(true);
+      acks->fetch_add(1);
+    };
+    auto sink = std::make_unique<ResilientLogSink>(service.Port(), options);
+    for (std::uint64_t i = 0; i < 200; ++i) sink->AppendAcked(EntryWithSeq(i));
+    ASSERT_TRUE(WaitFor([&] { return acks->load() > 0; }));
+    sink.reset();
+    destroyed->store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_FALSE(late->load()) << "round " << round;
+  }
   service.Shutdown();
 }
 

@@ -61,7 +61,7 @@ RunOutcome RunFleet(bool chaos) {
   auto make_connector = [&](std::atomic<int>& connection_count,
                             std::uint64_t fault_seed) {
     return [&connection_count, fault_seed, port,
-            chaos]() -> transport::ChannelPtr {
+            chaos]() -> std::shared_ptr<transport::AsyncChannel> {
       auto inner = transport::TryTcpConnect(
           port, transport::TcpConnectOptions{1, 200, 10, 50});
       if (!inner) return nullptr;

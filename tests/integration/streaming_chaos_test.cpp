@@ -48,7 +48,7 @@ TEST(StreamingChaosTest, OnlineReportMatchesBatchUnderUploadFaults) {
   // frames reach the logger as replayed entries (a real misbehavior class),
   // delays shear the two components' arrival orders against each other.
   auto make_connector = [&](std::uint64_t fault_seed) {
-    return [fault_seed, port]() -> transport::ChannelPtr {
+    return [fault_seed, port]() -> std::shared_ptr<transport::AsyncChannel> {
       auto inner = transport::TryTcpConnect(
           port, transport::TcpConnectOptions{1, 200, 10, 50});
       if (!inner) return nullptr;

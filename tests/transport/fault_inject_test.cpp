@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "transport/inproc.h"
 #include "transport/reconnect.h"
 
@@ -122,6 +124,27 @@ TEST(FaultInjectTest, DelayStillDeliversIntact) {
     ASSERT_TRUE(r);
     EXPECT_EQ((*r)[0], static_cast<std::uint8_t>(i));
   }
+}
+
+TEST(FaultInjectTest, AsyncEndForwardsFramesAndTheCloseEdge) {
+  // How a log sink consumes a faulty connection: handlers on the decorator
+  // get the inner channel's frames, and a disconnect fault reaches them as
+  // the close edge, as a real cut would.
+  FaultPlan plan;
+  plan.disconnect_after_frames = 2;
+  auto pair = MakeInProcChannelPair(Reactor::Global());
+  auto faulty = WrapWithFaults(pair.a, plan, Rng(7));
+  std::atomic<int> frames{0};
+  std::atomic<bool> closed{false};
+  faulty->StartAsync([&](BytesView frame) { frames.fetch_add(frame[0]); },
+                     [&] { closed.store(true); });
+  ASSERT_TRUE(pair.b->Send(Bytes{5}));
+  ASSERT_TRUE(faulty->Send(Bytes{1}));
+  ASSERT_TRUE(faulty->Send(Bytes{2}));
+  EXPECT_FALSE(faulty->Send(Bytes{3}));
+  EXPECT_TRUE(faulty->WaitClosed(5000));
+  EXPECT_TRUE(closed.load());
+  EXPECT_EQ(frames.load(), 5);
 }
 
 TEST(BackoffPolicyTest, GrowsExponentiallyAndCaps) {

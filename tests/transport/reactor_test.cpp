@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -195,6 +196,38 @@ TEST(ReactorTest, CancelTimerStopsPendingTimer) {
   EXPECT_FALSE(reactor.CancelTimer(Reactor::TimerId{}));  // invalid id
 }
 
+TEST(ReactorTest, StopReleasesTasksThatNeverRan) {
+  // A task still queued when its loop stops may own the last reference to a
+  // channel on another loop, whose destructor calls back into the reactor
+  // (RemoveFd). Stop() must release it while every loop is whole, not leave
+  // it to die with the loops.
+  Reactor reactor(ReactorOptions{2});
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  auto channel = EpollChannel::Adopt(reactor, fds[0]);
+  const std::size_t other = 1 - channel->LoopIndex();
+  std::promise<void> running;
+  reactor.Post(other, [&running] {
+    running.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  running.get_future().wait();
+  // Queued behind the running task, so the stopping loop never runs it.
+  struct Owner {
+    std::shared_ptr<EpollChannel> channel;
+    std::shared_ptr<std::atomic<bool>> released;
+    ~Owner() { released->store(true); }
+  };
+  auto released = std::make_shared<std::atomic<bool>>(false);
+  auto owner = std::make_shared<Owner>();
+  owner->channel = std::move(channel);
+  owner->released = released;
+  reactor.Post(other, [owner = std::move(owner)] {});
+  reactor.Stop();
+  EXPECT_TRUE(released->load());
+  ::close(fds[1]);
+}
+
 // --- EpollChannel: framing, reassembly, teardown ----------------------------
 
 /// Connected (client_fd, server EpollChannel) pair on `reactor`.
@@ -346,9 +379,9 @@ TEST(EpollChannelTest, CloseUnblocksReceiveAndTearsDown) {
 
 // --- The AsyncChannel contract, over both implementations -------------------
 //
-// One body per property, run over an EpollChannel (with a blocking
-// TcpChannel client as its peer) and over the async end of an in-proc pair
-// (with the pair's other end as its peer).
+// One body per property, run over an EpollChannel (with a dialled client
+// read through its blocking Receive() as its peer) and over the async end of
+// an in-proc pair (with the pair's other end as its peer).
 
 enum class AsyncKind { kEpoll, kInProc };
 
@@ -538,8 +571,9 @@ TEST(InProcChannelTest, FrameHandlerMaySendOnItsOwnEnd) {
 
 TEST(EpollChannelTest, InteroperatesWithBlockingTcpChannel) {
   // How every TCP link in the tree is paired: the server end accepted and
-  // driven by the reactor, the client end a plain blocking TcpChannel. The
-  // framing must be byte-identical in both directions.
+  // driven by the reactor, the client end dialled and read through its
+  // blocking Receive(), as a subscription's thread reads it. The framing
+  // must be byte-identical in both directions.
   Reactor reactor;
   TcpListener listener(0);
 

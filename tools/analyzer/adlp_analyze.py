@@ -83,9 +83,7 @@ SPAN_TYPES = {"BytesView", "Bytes", "span"}
 RISKY_METHODS = {"subspan", "front", "back"}
 
 # Calls that may not appear while a MutexLock is held. Deliberately absent:
-# CondVar Wait/WaitUntil/WaitFor (they release the lock while blocked) and
-# bounded in-process work like WriteAll (TcpChannel::Send holds send_mu_ by
-# design for frame atomicity).
+# CondVar Wait/WaitUntil/WaitFor (they release the lock while blocked).
 DEFAULT_BLOCKLIST = {
     "Send", "Receive", "Connect", "Accept", "TcpConnect", "TryTcpConnect",
     "RoundTrip", "sleep_for", "sleep_until", "WaitCommitted",
@@ -95,7 +93,7 @@ DEFAULT_BLOCKLIST = {
 # Functions that route raw frames to per-kind handling. A kind has dispatch
 # coverage if one of these references it directly or calls a
 # serializer/parser that does.
-DISPATCH_FUNCS = {"HandleSyncRequest", "IngestFrame", "AckReaderLoop"}
+DISPATCH_FUNCS = {"HandleSyncRequest", "IngestFrame", "OnAckFrame"}
 
 CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "throw",
