@@ -88,7 +88,7 @@ class Component {
   AdlpFactory* adlp_factory() { return adlp_factory_; }
 
   /// CPU time attributable to this component's middleware + logging work
-  /// (encode/sign, publisher links on reactor loops, receive threads,
+  /// (encode/sign, publisher links and subscriptions on reactor loops,
   /// logging thread).
   std::int64_t CpuTimeNs() const {
     return node_->CpuTimeNs() + (logging_ ? logging_->CpuTimeNs() : 0);

@@ -189,7 +189,7 @@ void LogServerService::Adopt(std::shared_ptr<transport::EpollChannel> channel) {
 }
 
 void LogServerService::IngestFrame(BytesView frame,
-                                   transport::Channel& channel) {
+                                   transport::AsyncChannel& channel) {
   try {
     // Read-side sync protocol (repair agents, wire auditors) shares the
     // connection format with uploads; requests are answered in order.

@@ -92,7 +92,7 @@ class LogServerService {
   /// Ingests one upload frame: parse, dedup acked-mode retransmissions via
   /// the server's per-sink watermark, apply, and acknowledge tagged frames
   /// on `channel`. Malformed frames are dropped, the connection kept.
-  void IngestFrame(BytesView frame, transport::Channel& channel);
+  void IngestFrame(BytesView frame, transport::AsyncChannel& channel);
   /// Registers one accepted channel and starts its ingestion on its loop.
   void Adopt(std::shared_ptr<transport::EpollChannel> channel) EXCLUDES(mu_);
 

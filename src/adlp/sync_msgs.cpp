@@ -71,6 +71,16 @@ void RequireKind(std::uint64_t got, std::uint64_t want, const char* what) {
   if (got != want) throw wire::WireError(std::string("sync: not a ") + what);
 }
 
+/// How long a SyncClient waits for a reply before it closes the connection:
+/// a peer that accepts and never answers fails the fetch like a dropped one.
+/// Generous enough for a full-frame (64 MiB) records reply under TSan.
+constexpr std::int64_t kSyncReplyDeadlineMs = 5000;
+
+/// Upper bounds on what a records reply spends around its records: the
+/// kind and first fields, and each record's tag and length varint.
+constexpr std::size_t kRecordsHeaderBytes = 2 * (1 + 10);
+constexpr std::size_t kRecordFieldBytes = 1 + 10;
+
 }  // namespace
 
 // --- Serializers -------------------------------------------------------------
@@ -378,8 +388,18 @@ std::optional<Bytes> HandleSyncRequest(BytesView frame,
       const SyncGetRecords req = ParseSyncGetRecords(frame);
       SyncRecords resp;
       resp.first = req.first;
-      resp.records = server.RecordRange(
-          req.first, std::min(req.count, kMaxSyncRecordsPerBatch));
+      // Stop before the reply would pass the frame cap (the client would
+      // drop it, and the connection), copying nothing beyond that point;
+      // the first record always goes, so a client paging on progresses.
+      std::size_t bytes = kRecordsHeaderBytes;
+      const std::uint64_t count = std::min(req.count, kMaxSyncRecordsPerBatch);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        std::vector<Bytes> next = server.RecordRange(req.first + i, 1);
+        if (next.empty()) break;
+        bytes += kRecordFieldBytes + next.front().size();
+        if (bytes > transport::kMaxFrameBytes && !resp.records.empty()) break;
+        resp.records.push_back(std::move(next.front()));
+      }
       return SerializeSyncRecords(resp);
     }
     case kKindGetProof: {
@@ -414,7 +434,18 @@ std::optional<Bytes> HandleSyncRequest(BytesView frame,
 // --- SyncClient --------------------------------------------------------------
 
 SyncClient::SyncClient(transport::ChannelPtr channel)
-    : channel_(std::move(channel)) {}
+    : channel_(std::move(channel)) {
+  if (!channel_) return;
+  // The server sends exactly one reply per request, so a frame no request
+  // waits for breaks the protocol: close rather than queue it.
+  std::weak_ptr<transport::AsyncChannel> weak = channel_;
+  channel_->StartAsync(
+      [replies = replies_, weak](BytesView frame) {
+        if (replies->Deliver(frame)) return;
+        if (auto channel = weak.lock()) channel->Close();
+      },
+      [replies = replies_] { replies->Fail(); });
+}
 
 SyncClient::~SyncClient() {
   if (channel_) channel_->Close();
@@ -431,8 +462,7 @@ bool SyncClient::Ok() const { return channel_ != nullptr && channel_->IsOpen(); 
 
 std::optional<Bytes> SyncClient::RoundTrip(Bytes request) {
   if (!Ok()) return std::nullopt;
-  if (!channel_->Send(request)) return std::nullopt;
-  return channel_->Receive();
+  return replies_->Call(channel_, request, kSyncReplyDeadlineMs);
 }
 
 std::optional<std::vector<EpochRoot>> SyncClient::FetchRootsSince(

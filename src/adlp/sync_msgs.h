@@ -42,6 +42,8 @@ class LogServer;
 
 /// Server-side cap on records per SyncRecords response. A client asking for
 /// more pages with repeated requests; a response claiming more is malformed.
+/// The server also stops before a response would pass the frame cap
+/// (transport::kMaxFrameBytes), but always serves at least one record.
 inline constexpr std::uint64_t kMaxSyncRecordsPerBatch = 1024;
 
 // --- Request / response payloads --------------------------------------------
@@ -143,9 +145,15 @@ class PeerSync {
 /// Synchronous request/response client over one framed channel. The
 /// connection must be dedicated to sync traffic (never upload on it): the
 /// server sends exactly one response per request, in order, so each fetch is
-/// a strict round trip. Not thread-safe; one agent thread drives it.
+/// a strict round trip. The channel's frame handler hands each reply to the
+/// waiting fetch (transport::ReplySlot); an unrequested frame closes the
+/// connection, and so does a reply later than a fixed deadline (5 s), so a
+/// silent peer fails the fetch as a dropped one does. Once closed, every
+/// fetch fails. A fetch blocks its caller: never call one on a reactor
+/// loop. One agent thread drives it.
 class SyncClient final : public PeerSync {
  public:
+  /// Attaches to `channel`'s frames; call it right after the dial.
   explicit SyncClient(transport::ChannelPtr channel);
   ~SyncClient() override;
 
@@ -170,6 +178,8 @@ class SyncClient final : public PeerSync {
   std::optional<Bytes> RoundTrip(Bytes request);
 
   transport::ChannelPtr channel_;
+  const std::shared_ptr<transport::ReplySlot> replies_ =
+      std::make_shared<transport::ReplySlot>();
 };
 
 }  // namespace adlp::proto

@@ -26,34 +26,32 @@ std::string HexPrefix(const crypto::Digest& d) {
 std::vector<proto::EpochRoot> CheckReplicaSeals(
     const ReplicaEvidence& replica, const ReplicaCheckOptions& options,
     ReplicaCheckResult& result) {
-  std::vector<proto::EpochRoot> valid;
-  crypto::Digest prev = proto::EpochGenesis();
-  std::uint64_t prev_size = 0;
-  for (std::size_t i = 0; i < replica.roots.size(); ++i) {
-    const proto::EpochRoot& r = replica.roots[i];
-    ReplicaVerdict v;
-    v.replica = replica.name;
-    v.epoch = r.epoch;
-    v.implicated = {replica.name};
-    if (r.epoch != i || r.tree_size <= prev_size || r.prev_root_hash != prev) {
-      v.finding = ReplicaFinding::kRootChainBroken;
-      v.detail = "seal " + std::to_string(i) + " breaks the chain (epoch " +
-                 std::to_string(r.epoch) + ", tree size " +
-                 std::to_string(r.tree_size) + " after " +
-                 std::to_string(prev_size) + ")";
-      result.verdicts.push_back(std::move(v));
-      return valid;
-    }
-    if (!proto::VerifyEpochRootSignature(r, options.seal_key)) {
-      v.finding = ReplicaFinding::kSealInvalid;
-      v.detail = "seal signature fails under the fleet key";
-      result.verdicts.push_back(std::move(v));
-      return valid;
-    }
-    valid.push_back(r);
-    prev = proto::EpochRootDigest(r);
-    prev_size = r.tree_size;
+  const std::size_t bad =
+      proto::VerifyEpochChain(replica.roots, options.seal_key);
+  std::vector<proto::EpochRoot> valid(
+      replica.roots.begin(),
+      replica.roots.begin() + static_cast<std::ptrdiff_t>(bad));
+  if (bad == replica.roots.size()) return valid;
+  const proto::EpochRoot& r = replica.roots[bad];
+  const std::uint64_t prev_size = valid.empty() ? 0 : valid.back().tree_size;
+  const crypto::Digest prev = valid.empty()
+                                  ? proto::EpochGenesis()
+                                  : proto::EpochRootDigest(valid.back());
+  ReplicaVerdict v;
+  v.replica = replica.name;
+  v.epoch = r.epoch;
+  v.implicated = {replica.name};
+  if (r.epoch != bad || r.tree_size <= prev_size || r.prev_root_hash != prev) {
+    v.finding = ReplicaFinding::kRootChainBroken;
+    v.detail = "seal " + std::to_string(bad) + " breaks the chain (epoch " +
+               std::to_string(r.epoch) + ", tree size " +
+               std::to_string(r.tree_size) + " after " +
+               std::to_string(prev_size) + ")";
+  } else {
+    v.finding = ReplicaFinding::kSealInvalid;
+    v.detail = "seal signature fails under the fleet key";
   }
+  result.verdicts.push_back(std::move(v));
   return valid;
 }
 
@@ -205,23 +203,13 @@ void CheckReplicaWireProofs(proto::PeerSync& sync,
                             const ReplicaCheckOptions& options,
                             ReplicaCheckResult& result) {
   // Same valid-prefix rule as CheckReplicas: seals after the first broken
-  // one are rooted in the damage and earn no spot checks. The prefix walk
-  // duplicates CheckReplicaSeals WITHOUT emitting verdicts — those were
-  // already recorded when this evidence went through CheckReplicas.
-  std::vector<proto::EpochRoot> seals;
-  crypto::Digest prev = proto::EpochGenesis();
-  std::uint64_t prev_size = 0;
-  for (std::size_t i = 0; i < replica.roots.size(); ++i) {
-    const proto::EpochRoot& r = replica.roots[i];
-    if (r.epoch != i || r.tree_size <= prev_size ||
-        r.prev_root_hash != prev ||
-        !proto::VerifyEpochRootSignature(r, options.seal_key)) {
-      break;
-    }
-    seals.push_back(r);
-    prev = proto::EpochRootDigest(r);
-    prev_size = r.tree_size;
-  }
+  // one are rooted in the damage and earn no spot checks. Their verdicts
+  // were recorded when this evidence went through CheckReplicas.
+  const std::vector<proto::EpochRoot> seals(
+      replica.roots.begin(),
+      replica.roots.begin() +
+          static_cast<std::ptrdiff_t>(
+              proto::VerifyEpochChain(replica.roots, options.seal_key)));
 
   for (const proto::EpochRoot& seal : seals) {
     // Identical sample stream to CheckReplicaStore, so the wire audit and

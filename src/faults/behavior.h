@@ -50,9 +50,9 @@ class UnfaithfulBehavior {
   virtual std::optional<proto::LogEntry> OnEntry(proto::LogEntry entry) = 0;
 
   /// Thread-safe entry point: one behaviour instance is shared by every log
-  /// pipe of a component (publisher links on reactor loops and subscriber
-  /// receive threads both feed it), so concrete behaviours keep plain state
-  /// and this wrapper serializes them.
+  /// pipe of a component (its publisher links and subscriptions, on
+  /// several reactor loops, all feed it), so concrete behaviours keep plain
+  /// state and this wrapper serializes them.
   std::optional<proto::LogEntry> Apply(proto::LogEntry entry) EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return OnEntry(std::move(entry));

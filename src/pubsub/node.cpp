@@ -2,8 +2,10 @@
 
 #include <deque>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
+#include "common/queue.h"
 #include "obs/instrument.h"
 #include "pubsub/handshake.h"
 #include "transport/epoll_channel.h"
@@ -69,7 +71,8 @@ struct Publisher::Link : public std::enable_shared_from_this<Link> {
 
   InFlightQueue in_flight;  // loop thread only
   std::atomic<bool> pump_armed{false};
-  std::atomic<bool> done{false};  // written on the loop thread only
+  std::atomic<bool> done{false};    // written on the loop thread only
+  std::atomic<bool> closed{false};  // the close edge has run
 
   /// Any-thread: enqueue a publication (false = per-link queue full).
   bool Offer(EncodedPublicationPtr pub) {
@@ -189,24 +192,25 @@ std::uint64_t Publisher::Publish(Bytes payload) {
   obs::TraceLog::Global().Record(obs::TraceKind::kPublish, topic_, seq);
 
   // A link whose subscriber left is retired, not fed: it would otherwise
-  // hold every later publication until Shutdown.
-  std::vector<std::shared_ptr<Link>> finished;
-  {
-    MutexLock lock(links_mu_);
-    for (auto& link : links_) {
-      if (!link->Live()) {
-        retired_dropped_ += link->dropped.load(std::memory_order_relaxed);
-        finished.push_back(std::move(link));
-      } else if (!link->Offer(encoded)) {
-        link->dropped.fetch_add(1, std::memory_order_relaxed);
-        obs::metric::PublishQueueDropTotal().Add(1);
-      }
+  // hold every later publication until Shutdown. Retiring only closes it:
+  // Publish may run on a loop (in a subscription callback), maybe the
+  // link's own, so it must not wait for the close edge. The link stays
+  // owned here until that edge has run; Shutdown waits for the rest.
+  MutexLock lock(links_mu_);
+  std::erase_if(retired_, [](const auto& link) {
+    return link->closed.load(std::memory_order_acquire);
+  });
+  for (auto& link : links_) {
+    if (!link->Live()) {
+      retired_dropped_ += link->dropped.load(std::memory_order_relaxed);
+      link->channel->Close();
+      retired_.push_back(std::move(link));
+    } else if (!link->Offer(encoded)) {
+      link->dropped.fetch_add(1, std::memory_order_relaxed);
+      obs::metric::PublishQueueDropTotal().Add(1);
     }
-    if (!finished.empty()) std::erase(links_, nullptr);
   }
-  // Unlocked: retiring waits for the link's loop teardown.
-  publish_lock.Unlock();
-  for (auto& link : finished) link->Shutdown();
+  std::erase(links_, nullptr);
   return seq;
 }
 
@@ -255,7 +259,11 @@ void Publisher::AddLink(const crypto::ComponentId& subscriber,
   // swap executes synchronously on the loop thread and later frames (early
   // ACKs included) flow straight to the link.
   link->channel->StartAsync([link](BytesView frame) { link->OnFrame(frame); },
-                            [link] { link->Finish(); });
+                            [link] {
+                              link->Finish();
+                              link->closed.store(true,
+                                                 std::memory_order_release);
+                            });
   bool closed;
   {
     MutexLock lock(links_mu_);
@@ -277,31 +285,36 @@ void Publisher::Shutdown() {
     MutexLock lock(links_mu_);
     links_closed_ = true;
     links.swap(links_);
+    links.insert(links.end(), retired_.begin(), retired_.end());
+    retired_.clear();
   }
   for (auto& link : links) link->Shutdown();
 }
 
 // ---------------------------------------------------------------------------
-// Subscription: one connection per publisher link, read by its own receive
-// thread through the channel's blocking Receive() (an in-proc endpoint, or
-// a dialled EpollChannel whose frames the reactor parses and queues).
+// Subscription: one connection per publisher link, held as a state machine
+// on the channel's reactor loop, as a publisher link is: verify and ACK each
+// publication, then deliver it. Shared-owned, so a handler whose own send
+// tears the connection down still finds live state.
 
 struct Node::Subscription {
   std::string topic;
   Node::Callback callback;
   std::unique_ptr<SubscriberLinkProtocol> proto;
   transport::ChannelPtr channel;
+  // The owning node's CPU account: loop work is billed there.
   std::atomic<Timestamp>* cpu_acc = nullptr;
-  std::thread thread;
 
-  /// One inbound publication: verify/ack via the protocol, then deliver.
-  /// Returns false when the link should stop (ACK send failed).
-  bool HandleBytes(BytesView bytes) {
+  /// Loop thread: the frame handler. One inbound publication: verify/ack
+  /// via the protocol, then deliver.
+  void OnFrame(BytesView bytes) {
+    ThreadCpuTracker cpu(cpu_acc);
     const Timestamp handle_start = MonotonicNowNs();
     auto result = proto->OnMessage(bytes);
     // The ACK is returned before delivery to the application layer
-    // (step 4 of the prototype: signing happens mid-deserialization).
-    if (result.reply && !channel->Send(*result.reply)) return false;
+    // (step 4 of the prototype: signing happens mid-deserialization). A
+    // failed send means the connection is gone; its close edge follows.
+    if (result.reply && !channel->Send(*result.reply)) return;
     obs::metric::DeliverNs().Record(
         static_cast<std::uint64_t>(MonotonicNowNs() - handle_start));
     if (result.deliver) {
@@ -310,20 +323,15 @@ struct Node::Subscription {
                                      result.deliver->header.seq);
       callback(*result.deliver);
     }
-    return true;
   }
 
-  void Run() {
-    ThreadCpuTracker cpu(cpu_acc);
-    while (auto bytes = channel->Receive()) {
-      if (!HandleBytes(*bytes)) return;
-      cpu.Tick();
-    }
-  }
-
+  /// Closes the connection and waits for its close edge, which follows the
+  /// handler in flight: afterwards no handler touches node state or the
+  /// callback. Unbounded: a slow callback must not outlive its node.
   void Shutdown() {
     channel->Close();
-    if (thread.joinable()) thread.join();
+    while (!channel->WaitClosed(1000)) {
+    }
   }
 };
 
@@ -494,32 +502,31 @@ void Node::Subscribe(const std::string& topic, Callback callback) {
       [this, topic, callback = std::move(callback)](
           const crypto::ComponentId& publisher,
           transport::ChannelPtr channel) {
-        auto sub = std::make_unique<Subscription>();
+        auto sub = std::make_shared<Subscription>();
         sub->topic = topic;
         sub->callback = callback;
         sub->proto = options_.protocol->MakeSubscriberLink(topic, publisher);
         sub->channel = std::move(channel);
         sub->cpu_acc = &cpu_ns_;
-        Subscription* raw = sub.get();
         {
           MutexLock lock(mu_);
           if (shut_down_) {
             sub->channel->Close();
             return;
           }
-          // The thread member must be assigned before the subscription is
-          // visible in subscriptions_: Shutdown() swaps the list under mu_
-          // and then joins, so publishing first would let it race with (or
-          // miss) this assignment.
-          raw->thread = std::thread([raw] { raw->Run(); });
-          subscriptions_.push_back(std::move(sub));
+          subscriptions_.push_back(sub);
         }
+        // Unlocked: frames that queued already may deliver inline, and the
+        // callback may re-enter the node. Shutdown's close-edge wait covers
+        // a subscription it found before this call.
+        sub->channel->StartAsync(
+            [sub](BytesView frame) { sub->OnFrame(frame); }, nullptr);
       });
 }
 
 void Node::Shutdown() {
   std::vector<std::unique_ptr<Publisher>> pubs;
-  std::vector<std::unique_ptr<Subscription>> subs;
+  std::vector<std::shared_ptr<Subscription>> subs;
   std::unique_ptr<TcpEndpoint> tcp;
   {
     MutexLock lock(mu_);

@@ -1,8 +1,8 @@
 // Node: a software component `c_i`. Owns its publishers, subscriptions, and
 // one link per subscriber connection (ROS runs a connection thread per
-// subscriber, not per topic). Every link, in-proc or TCP, is a state machine
-// on the shared epoll reactor, which also accepts the node's inbound
-// connections. Subscriptions read on one receive thread per publisher link.
+// subscriber, not per topic). Every publisher link and every subscription,
+// in-proc or TCP, is a state machine on the shared epoll reactor, which also
+// accepts the node's inbound connections: a node owns no thread.
 #pragma once
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -71,12 +70,12 @@ class Publisher {
     return seq_.load(std::memory_order_relaxed);
   }
   /// Subscriber links still connected. A link stops counting as soon as its
-  /// subscriber leaves, and the next Publish retires it.
+  /// subscriber leaves, and the next Publish retires it without waiting.
   std::size_t SubscriberCount() const EXCLUDES(links_mu_);
 
   /// Blocks until at least `count` live subscriber links are attached (TCP
   /// connections attach asynchronously) or `timeout` elapses. Returns true
-  /// when the count was reached.
+  /// when the count was reached. Waits for a loop: not from a callback.
   bool WaitForSubscribers(std::size_t count,
                           std::chrono::milliseconds timeout =
                               std::chrono::milliseconds(5000)) const
@@ -108,6 +107,8 @@ class Publisher {
   mutable Mutex links_mu_;
   mutable CondVar links_cv_;
   std::vector<std::shared_ptr<Link>> links_ GUARDED_BY(links_mu_);
+  // Retired links whose close edge may not have run yet.
+  std::vector<std::shared_ptr<Link>> retired_ GUARDED_BY(links_mu_);
   // Queue-full drops of links already retired.
   std::uint64_t retired_dropped_ GUARDED_BY(links_mu_) = 0;
   // Set by Shutdown(); a late AddLink (TCP handshakes land asynchronously)
@@ -130,13 +131,18 @@ class Node {
   /// it. The returned handle stays valid until Shutdown.
   Publisher& Advertise(const std::string& topic) EXCLUDES(mu_);
 
+  /// Runs on the connection's reactor loop, after the ACK went out, once
+  /// per publication, never concurrently with itself. It may publish. It
+  /// must not wait for a loop: no Node::Shutdown, WaitForSubscribers,
+  /// RemoteMaster RPC or SyncClient fetch. While it runs, the other
+  /// connections on its loop wait.
   using Callback = std::function<void(const Message&)>;
 
-  /// Subscribes to `topic`; `callback` runs on the connection's receive
-  /// thread once a publisher is available.
+  /// Subscribes to `topic`; `callback` runs once a publisher is available.
   void Subscribe(const std::string& topic, Callback callback) EXCLUDES(mu_);
 
-  /// Closes all links and joins all threads. Idempotent.
+  /// Closes all links and subscriptions and waits for their handlers:
+  /// afterwards no callback runs. Idempotent.
   void Shutdown() EXCLUDES(mu_);
 
   const crypto::ComponentId& Name() const { return name_; }
@@ -145,8 +151,9 @@ class Node {
   ProtocolFactory& protocol() const { return *options_.protocol; }
 
   /// CPU time consumed by this node's middleware work: per-publication
-  /// encoding (hash/sign), publisher links (ACK handling and sends, on the
-  /// reactor loop), and message handling on receive threads. Used by the
+  /// encoding (hash/sign) on the publishing thread, and the loop work of
+  /// its publisher links (ACK handling and sends) and subscriptions
+  /// (verify, hash, ACK, and the callback). Used by the
   /// publisher-CPU-utilization experiments (Fig. 14).
   std::int64_t CpuTimeNs() const {
     return cpu_ns_.load(std::memory_order_relaxed);
@@ -170,7 +177,7 @@ class Node {
   Mutex mu_;
   bool shut_down_ GUARDED_BY(mu_) = false;
   std::vector<std::unique_ptr<Publisher>> publishers_ GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Subscription>> subscriptions_ GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<Subscription>> subscriptions_ GUARDED_BY(mu_);
   std::unique_ptr<TcpEndpoint> tcp_ GUARDED_BY(mu_);  // lazy, TCP mode only
   mutable std::atomic<Timestamp> cpu_ns_{0};
 };

@@ -1,6 +1,7 @@
 #include "pubsub/remote_master.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "pubsub/handshake.h"
 #include "transport/reactor.h"
@@ -281,109 +282,61 @@ void MasterService::Shutdown() {
 RemoteMaster::RemoteMaster(std::uint16_t port,
                            transport::TcpConnectOptions options)
     : channel_(transport::TcpConnect(port, options)) {
-  reader_ = std::thread([this] { ReaderLoop(); });
+  channel_->StartAsync([this](BytesView frame) { OnFrame(frame); },
+                       [rpc = rpc_] { rpc->Fail(); });
 }
 
 RemoteMaster::~RemoteMaster() { Close(); }
 
 void RemoteMaster::Close() {
-  {
-    MutexLock lock(mu_);
-    if (closed_) return;
-    closed_ = true;
-  }
   channel_->Close();
-  rpc_cv_.NotifyAll();
-  if (reader_.joinable()) reader_.join();
+  // The frame handler captures `this`, and the close edge follows the
+  // handler in flight (a connect_info dial, or the subscriber's callback):
+  // unbounded, so no handler outlives this object.
+  while (!channel_->WaitClosed(1000)) {
+  }
 }
 
-void RemoteMaster::ReaderLoop() {
-  while (auto frame_bytes = channel_->Receive()) {
-    Frame frame;
-    try {
-      frame = DecodeFrame(*frame_bytes);
-    } catch (const wire::WireError&) {
-      continue;
-    }
-
-    if (frame.type == kRspConnectInfo) {
-      // Resolve every pending subscription for this topic.
-      std::vector<std::pair<crypto::ComponentId, SubscriberConnectCb>>
-          matched;
-      {
-        MutexLock lock(mu_);
-        auto [begin, end] = pending_subs_.equal_range(frame.topic);
-        for (auto it = begin; it != end; ++it) matched.push_back(it->second);
-        pending_subs_.erase(begin, end);
-      }
-      for (auto& [subscriber, cb] : matched) {
-        // The publisher may still be bringing its data listener up, or may
-        // have vanished between advertise and dial: retry briefly, then drop
-        // quietly — the data plane treats it like a lost connection.
-        transport::TcpConnectOptions dial;
-        dial.attempts = 3;
-        dial.connect_timeout_ms = 500;
-        dial.retry_delay_ms = 20;
-        auto data_channel = transport::TryTcpConnect(frame.port, dial);
-        if (data_channel == nullptr) continue;
-        data_channel->Send(SerializeHandshake(frame.topic, subscriber));
-        cb(frame.component, std::move(data_channel));
-      }
-      continue;
-    }
-
-    // RPC response (ack / error / topology).
-    {
-      MutexLock lock(mu_);
-      rpc_response_ = *frame_bytes;
-      rpc_done_ = true;
-    }
-    rpc_cv_.NotifyAll();
+void RemoteMaster::OnFrame(BytesView frame_bytes) {
+  Frame frame;
+  try {
+    frame = DecodeFrame(frame_bytes);
+  } catch (const wire::WireError&) {
+    return;
   }
-  // Connection gone: unblock any waiting RPC — including one issued after
-  // this thread exits (its send can still land in the kernel buffer before
-  // the peer's RST, so it would otherwise wait forever).
+  if (frame.type != kRspConnectInfo) {
+    // RPC response (ack / error / topology).
+    (void)rpc_->Deliver(frame_bytes);
+    return;
+  }
+
+  // Resolve every pending subscription for this topic.
+  std::vector<std::pair<crypto::ComponentId, SubscriberConnectCb>> matched;
   {
     MutexLock lock(mu_);
-    reader_dead_ = true;
-    rpc_done_ = true;
-    rpc_response_.clear();
+    auto [begin, end] = pending_subs_.equal_range(frame.topic);
+    for (auto it = begin; it != end; ++it) matched.push_back(it->second);
+    pending_subs_.erase(begin, end);
   }
-  rpc_cv_.NotifyAll();
+  for (auto& [subscriber, cb] : matched) {
+    // The publisher may still be bringing its data listener up, or may
+    // have vanished between advertise and dial: retry briefly, then drop
+    // quietly — the data plane treats it like a lost connection.
+    transport::TcpConnectOptions dial;
+    dial.attempts = 3;
+    dial.connect_timeout_ms = 500;
+    dial.retry_delay_ms = 20;
+    auto data_channel = transport::TryTcpConnect(frame.port, dial);
+    if (data_channel == nullptr) continue;
+    data_channel->Send(SerializeHandshake(frame.topic, subscriber));
+    cb(frame.component, std::move(data_channel));
+  }
 }
 
 Bytes RemoteMaster::Rpc(BytesView request) const {
-  MutexLock lock(mu_);
-  while (rpc_outstanding_ && !closed_) rpc_cv_.Wait(lock);
-  if (closed_ || reader_dead_) {
-    throw std::runtime_error("RemoteMaster: connection closed");
-  }
-  rpc_outstanding_ = true;
-  rpc_done_ = false;
-  rpc_response_.clear();
-  // Send without the lock: a blocking send while holding mu_ would stall
-  // ReaderLoop's response handoff and deadlock the RPC.
-  lock.Unlock();
-
-  if (!channel_->Send(request)) {
-    lock.Lock();
-    rpc_outstanding_ = false;
-    // Wake queued callers waiting on rpc_outstanding_; without this a send
-    // failure would strand them until the next completed RPC.
-    rpc_cv_.NotifyAll();
-    throw std::runtime_error("RemoteMaster: send failed");
-  }
-
-  lock.Lock();
-  while (!rpc_done_ && !reader_dead_) rpc_cv_.Wait(lock);
-  Bytes response = std::move(rpc_response_);
-  rpc_outstanding_ = false;
-  rpc_done_ = false;
-  rpc_cv_.NotifyAll();
-  if (response.empty()) {
-    throw std::runtime_error("RemoteMaster: connection closed mid-RPC");
-  }
-  return response;
+  std::optional<Bytes> response = rpc_->Call(channel_, request);
+  if (!response) throw std::runtime_error("RemoteMaster: connection closed");
+  return std::move(*response);
 }
 
 void RemoteMaster::Advertise(const std::string& topic,

@@ -16,13 +16,18 @@
 // The master never touches message data: it hands the subscriber the
 // publisher's (id, port); the subscriber dials the publisher directly and
 // the point-to-point, unobservable data plane of the paper is preserved.
+//
+// Both sides run on the shared epoll reactor. A RemoteMaster's frames reach
+// its frame handler on its connection's loop: responses go to the waiting
+// RPC (transport::ReplySlot), and a connect_info push dials the publisher
+// there and hands the connection to the subscriber's callback. No thread
+// per node.
 #pragma once
 
 #include <atomic>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
@@ -57,7 +62,7 @@ class MasterService {
   /// A subscriber parked until its topic's publisher advertises. The
   /// connection is held weakly: a subscriber that left holds no fd here.
   struct Waiter {
-    std::weak_ptr<transport::Channel> channel;
+    std::weak_ptr<transport::AsyncChannel> channel;
     crypto::ComponentId subscriber;
   };
 
@@ -86,7 +91,9 @@ class MasterService {
 };
 
 /// The client side: a MasterApi backed by a MasterService in (possibly)
-/// another process. One instance per node process.
+/// another process. One instance per node process. RPCs block their caller
+/// until the master answers, without a deadline (the master is trusted), so
+/// never call one from a subscription callback or another loop handler.
 class RemoteMaster final : public MasterApi {
  public:
   /// Connects to the service at 127.0.0.1:`port`. Throws std::system_error
@@ -104,6 +111,8 @@ class RemoteMaster final : public MasterApi {
   void Advertise(const std::string& topic, const crypto::ComponentId& publisher,
                  AdvertiseInfo info) override;
 
+  /// `on_connect` runs on this connection's loop once the publisher is
+  /// known, after a blocking dial there (3 attempts).
   void Subscribe(const std::string& topic,
                  const crypto::ComponentId& subscriber,
                  SubscriberConnectCb on_connect) override;
@@ -113,27 +122,21 @@ class RemoteMaster final : public MasterApi {
 
   std::map<std::string, TopicInfo> Topology() const override;
 
+  /// Closes the connection and waits for its close edge: afterwards no
+  /// handler runs, and every RPC fails. Idempotent.
   void Close();
 
  private:
-  struct PendingRpc;
-
   /// Sends a request and blocks for its ack/error/topology response.
-  Bytes Rpc(BytesView request) const EXCLUDES(mu_);
-  void ReaderLoop() EXCLUDES(mu_);
+  Bytes Rpc(BytesView request) const;
+  /// Loop: one frame from the master.
+  void OnFrame(BytesView frame) EXCLUDES(mu_);
 
   transport::ChannelPtr channel_;
-  std::thread reader_;
+  const std::shared_ptr<transport::ReplySlot> rpc_ =
+      std::make_shared<transport::ReplySlot>();
 
   mutable Mutex mu_;
-  mutable CondVar rpc_cv_;
-  mutable bool rpc_outstanding_ GUARDED_BY(mu_) = false;
-  mutable bool rpc_done_ GUARDED_BY(mu_) = false;
-  mutable Bytes rpc_response_ GUARDED_BY(mu_);
-  /// Set by ReaderLoop on exit: no further RPC response can ever arrive.
-  mutable bool reader_dead_ GUARDED_BY(mu_) = false;
-  bool closed_ GUARDED_BY(mu_) = false;
-
   // Subscriptions waiting for (or already matched to) connect_info pushes,
   // keyed by topic.
   std::multimap<std::string,

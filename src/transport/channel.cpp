@@ -65,4 +65,52 @@ void AsyncChannel::CloseEdge() {
   if (first) closed_promise_.set_value();
 }
 
+std::optional<Bytes> ReplySlot::Call(const ChannelPtr& channel,
+                                     BytesView request,
+                                     std::int64_t deadline_ms) {
+  MutexLock lock(mu_);
+  while (busy_ && !failed_) cv_.Wait(lock);
+  if (failed_) return std::nullopt;
+  busy_ = waiting_ = true;
+  lock.Unlock();  // the reply may reach Deliver before Send returns
+  Reactor::TimerId deadline;
+  if (!channel->Send(request)) {
+    channel->Close();  // its close edge fails the call
+  } else if (deadline_ms > 0) {
+    deadline = channel->OwningReactor().RunAfter(
+        channel->LoopIndex(), deadline_ms,
+        [weak = std::weak_ptr<AsyncChannel>(channel)] {
+          if (auto late = weak.lock()) late->Close();
+        });
+  }
+  lock.Lock();
+  while (waiting_ && !failed_) cv_.Wait(lock);
+  std::optional<Bytes> reply;
+  if (!waiting_) reply = std::move(reply_);
+  busy_ = waiting_ = false;
+  lock.Unlock();
+  cv_.NotifyAll();
+  channel->OwningReactor().CancelTimer(deadline);
+  return reply;
+}
+
+bool ReplySlot::Deliver(BytesView frame) {
+  {
+    MutexLock lock(mu_);
+    if (!waiting_) return false;
+    reply_.assign(frame.begin(), frame.end());
+    waiting_ = false;
+  }
+  cv_.NotifyAll();
+  return true;
+}
+
+void ReplySlot::Fail() {
+  {
+    MutexLock lock(mu_);
+    failed_ = true;
+  }
+  cv_.NotifyAll();
+}
+
 }  // namespace adlp::transport

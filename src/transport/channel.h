@@ -2,23 +2,22 @@
 //
 // ADLP's threat analysis hinges on data transmission being point-to-point
 // and thus unobservable to third parties (TCPROS in the paper's prototype).
-// A `Channel` is one reliable, ordered, duplex, message-framed connection
-// between exactly one publisher-side link and one subscriber-side link.
-// `Channel` is the blocking contract; `AsyncChannel` adds delivery to
-// handlers on a reactor loop, which is how every publisher link and every
-// log sink runs.
+// An `AsyncChannel` is one reliable, ordered, duplex, message-framed
+// connection between exactly one publisher-side link and one
+// subscriber-side link. One reactor loop delivers its frames to handlers:
+// there is no blocking receive, so no connection owns a thread. A caller
+// that must block for a reply (RemoteMaster's RPCs, SyncClient's fetches)
+// waits on a ReplySlot that its frame handler fills.
 //
 // Two implementations:
-//   * in-proc (inproc.h) — an `AsyncChannel` pair of in-process queues,
-//     deterministic, with an optional latency/bandwidth link model (default
-//     for experiments);
-//   * EpollChannel (epoll_channel.h) — an `AsyncChannel` over a loopback TCP
-//     socket with the 4-byte length preamble, matching the paper's
-//     substrate. Both ends of every TCP connection are one: a server end is
-//     accepted by a ReactorAcceptor, a client end is dialled by TcpConnect
-//     (tcp.h) and adopted on the same reactor. A client that keeps a thread
-//     of its own (subscription, remote master, sync fetches) reads it
-//     through the blocking Receive().
+//   * in-proc (inproc.h) — a pair of in-process queues, deterministic,
+//     with an optional latency/bandwidth link model (default for
+//     experiments);
+//   * EpollChannel (epoll_channel.h) — a loopback TCP socket with the
+//     4-byte length preamble, matching the paper's substrate. Both ends of
+//     every TCP connection are one: a server end is accepted by a
+//     ReactorAcceptor, a client end is dialled by TcpConnect (tcp.h) and
+//     adopted on the same reactor.
 // FaultInjectingChannel (fault_inject.h) decorates either one.
 #pragma once
 
@@ -30,6 +29,8 @@
 #include <optional>
 
 #include "common/bytes.h"
+#include "common/mutex.h"
+#include "common/thread_annotations.h"
 
 namespace adlp::transport {
 
@@ -40,35 +41,18 @@ namespace adlp::transport {
 /// images of Table I).
 inline constexpr std::size_t kMaxFrameBytes = 64u * 1024 * 1024;
 
-class Channel {
- public:
-  virtual ~Channel() = default;
-
-  /// Sends one message (payload only; framing is the channel's concern).
-  /// Returns false if the channel is closed. Thread-safe.
-  virtual bool Send(BytesView payload) = 0;
-
-  /// Blocks for the next message; std::nullopt once closed and drained.
-  virtual std::optional<Bytes> Receive() = 0;
-
-  /// Closes both directions; unblocks pending Receive() calls on both ends.
-  virtual void Close() = 0;
-
-  virtual bool IsOpen() const = 0;
-};
-
-using ChannelPtr = std::shared_ptr<Channel>;
-
 class Reactor;
 
-/// A channel whose frames one reactor loop delivers to handlers instead of
-/// Receive(). Frames reach the frame handler in send order, on the loop
-/// LoopIndex() names; once the connection has closed and the last frame was
-/// delivered, the close edge runs the close handler exactly once. The two
-/// handlers never run concurrently, and either may Send on the channel.
-/// The handler slot and the close edge live here, shared by every
-/// implementation; each supplies the frames.
-class AsyncChannel : public Channel {
+/// A connection whose frames one reactor loop delivers to handlers. Frames
+/// reach the frame handler in send order, on the loop LoopIndex() names;
+/// once the connection has closed and the last frame was delivered, the
+/// close edge runs the close handler exactly once. The two handlers never
+/// run concurrently, and either may Send on the channel. While a handler
+/// runs, its loop reads nothing further, so a slow handler slows its
+/// sender (for TCP, through flow control) instead of queueing. The handler
+/// slot and the close edge live here, shared by every implementation; each
+/// supplies the frames.
+class AsyncChannel {
  public:
   /// Runs on the loop, once per frame. The view is valid only for the
   /// duration of the call; a handler that keeps the payload must copy it.
@@ -76,10 +60,23 @@ class AsyncChannel : public Channel {
   /// Runs on the loop, exactly once, after the last frame.
   using ClosedHandler = std::function<void()>;
 
-  /// Switches delivery from Receive() to the handlers, draining frames that
-  /// queued before the call to `on_frame` first, in order. If the
-  /// connection already closed, `on_closed` still fires after that drain,
-  /// so no caller misses the close edge. May be called again from inside a
+  virtual ~AsyncChannel() = default;
+
+  /// Sends one message (payload only; framing is the channel's concern).
+  /// Returns false if the channel is closed. Thread-safe; never waits for
+  /// the peer.
+  virtual bool Send(BytesView payload) = 0;
+
+  /// Closes both directions. The close edge follows on the loop.
+  virtual void Close() = 0;
+
+  virtual bool IsOpen() const = 0;
+
+  /// Starts delivery to the handlers, draining frames that queued before
+  /// the call to `on_frame` first, in order. If the connection already
+  /// closed, `on_closed` still fires after that drain, so no caller misses
+  /// the close edge. Every caller attaches right after it dials, accepts or
+  /// pairs the channel. May be called again from inside a
   /// frame handler to replace the handlers — how endpoints switch from
   /// handshake to steady-state processing. Both handlers are released at
   /// the close edge (they may own the channel).
@@ -133,6 +130,37 @@ class AsyncChannel : public Channel {
   ClosedHandler on_closed_;
   std::promise<void> closed_promise_;
   std::shared_future<void> closed_done_;
+};
+
+using ChannelPtr = std::shared_ptr<AsyncChannel>;
+
+/// One request/reply rendezvous over a channel whose peer answers each
+/// request with exactly one reply, in order. Shared by the calling thread
+/// and the channel's handlers: the frame handler hands a reply over
+/// (Deliver), the close handler fails what waits (Fail). Calls take turns.
+class ReplySlot {
+ public:
+  /// Sends `request` and blocks until its reply, or std::nullopt once the
+  /// close edge ran (for every later call too). A positive `deadline_ms`
+  /// arms a loop timer that closes the connection unless the reply came
+  /// first, so a silent peer fails the call as a dropped one does. Waits
+  /// for a loop: never call it on one.
+  std::optional<Bytes> Call(const ChannelPtr& channel, BytesView request,
+                            std::int64_t deadline_ms = 0) EXCLUDES(mu_);
+
+  /// Loop: hands `frame` to the waiting call; false when none waits.
+  bool Deliver(BytesView frame) EXCLUDES(mu_);
+
+  /// Loop, at the close edge.
+  void Fail() EXCLUDES(mu_);
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool busy_ GUARDED_BY(mu_) = false;     // a call holds the slot
+  bool waiting_ GUARDED_BY(mu_) = false;  // ...and its reply is due
+  bool failed_ GUARDED_BY(mu_) = false;
+  Bytes reply_ GUARDED_BY(mu_);
 };
 
 }  // namespace adlp::transport

@@ -39,14 +39,6 @@ struct EpollMetrics {
 /// channel closes rather than buffering without bound.
 constexpr std::size_t kMaxBufferedSendBytes = 256u * 1024 * 1024;
 
-/// What a frame queued for Receive() is charged beyond its payload: the
-/// queue slot, the vector header and allocator rounding.
-constexpr std::size_t kQueuedFrameOverhead = 64;
-
-/// Reading resumes once the receive queue drains to this.
-constexpr std::size_t kReceiveLowWaterBytes =
-    EpollChannel::kReceiveHighWaterBytes / 2;
-
 /// Delay before re-arming an acceptor that hit the process fd limit.
 constexpr std::int64_t kAcceptRetryMs = 100;
 
@@ -86,7 +78,6 @@ void EpollChannel::Register() {
     // Reactor stopped or epoll rejected the fd: surface as a dead channel.
     // No loop task exists yet, so this thread may run the close edge.
     closed_.store(true, std::memory_order_release);
-    rq_.Close();
     CloseEdge();
   }
 }
@@ -206,12 +197,6 @@ bool EpollChannel::Send(BytesView payload) {
   return true;
 }
 
-std::optional<Bytes> EpollChannel::Receive() {
-  std::optional<Bytes> frame = rq_.Pop();
-  if (frame) Dequeued(frame->size() + kQueuedFrameOverhead);
-  return frame;
-}
-
 std::size_t EpollChannel::PendingSendBytes() const {
   MutexLock lock(wmu_);
   return wq_bytes_;
@@ -221,48 +206,23 @@ void EpollChannel::Close() {
   bool expected = false;
   if (closed_.compare_exchange_strong(expected, true)) {
     // Shutdown only: the loop observes EOF/HUP and runs TearDown; the fd
-    // number stays allocated until destruction, so a reader still blocked
-    // on it never sees the number recycled.
+    // number stays allocated until destruction, so an event still in
+    // flight never reaches a recycled number.
     ::shutdown(fd_, SHUT_RDWR);
   }
 }
 
 void EpollChannel::DrainQueued() {
   // Frames that arrived before the handler attached drain first, in order.
-  while (auto frame = rq_.TryPop()) {
-    Dequeued(frame->size() + kQueuedFrameOverhead);
-    Deliver(BytesView(*frame));
+  while (!early_.empty()) {
+    const Bytes frame = std::move(early_.front());
+    early_.pop_front();
+    Deliver(frame);
   }
-}
-
-void EpollChannel::Dequeued(std::size_t cost) {
-  const std::size_t before = rq_bytes_.fetch_sub(cost);
-  const std::size_t after = before - cost;
-  // Only a drain across the low-water mark can find the loop paused with
-  // room to read again: the loop pauses above the high-water mark and then
-  // queues nothing more. The task re-checks, as the queue may have refilled
-  // since; a later drain posts again.
-  if (before > kReceiveLowWaterBytes && after <= kReceiveLowWaterBytes) {
-    std::weak_ptr<EpollChannel> weak = weak_from_this();
-    reactor_.Post(loop_, [weak] {
-      auto self = weak.lock();
-      if (self && self->rq_bytes_.load() <= kReceiveLowWaterBytes) {
-        self->SetReadPaused(false);
-      }
-    });
-  }
-}
-
-void EpollChannel::SetReadPaused(bool paused) {
-  MutexLock lock(wmu_);
-  if (torn_down_ || read_paused_ == paused) return;
-  read_paused_ = paused;
-  reactor_.ModFd(loop_, fd_, InterestLocked());
 }
 
 std::uint32_t EpollChannel::InterestLocked() const {
-  return (read_paused_ ? 0u : std::uint32_t{EPOLLIN}) |
-         (want_write_ ? std::uint32_t{EPOLLOUT} : 0u);
+  return EPOLLIN | (want_write_ ? std::uint32_t{EPOLLOUT} : 0u);
 }
 
 void EpollChannel::HandleEvents(std::uint32_t events) {
@@ -280,13 +240,6 @@ void EpollChannel::ReadReady() {
       EpollMetrics::Get().rx_bytes.Add(static_cast<std::uint64_t>(n));
       if (!IngestBytes(buf, static_cast<std::size_t>(n))) {
         return;  // torn down (violation or handler close)
-      }
-      if (rq_bytes_.load() > kReceiveHighWaterBytes) {
-        // The blocking reader fell behind: leave the rest in the kernel so
-        // TCP flow control slows the sender. EPOLLHUP/EPOLLERR still
-        // report, and each report reads one more chunk toward the EOF.
-        SetReadPaused(true);
-        return;
       }
       // A short read usually means the socket is drained; if more data
       // raced in, level-triggered epoll reports it on the next pass.
@@ -365,8 +318,7 @@ void EpollChannel::DeliverFrame(BytesView frame) {
   if (async()) {
     Deliver(frame);
   } else {
-    rq_bytes_.fetch_add(frame.size() + kQueuedFrameOverhead);
-    rq_.Push(Bytes(frame.begin(), frame.end()));
+    early_.emplace_back(frame.begin(), frame.end());
   }
 }
 
@@ -419,7 +371,6 @@ void EpollChannel::TearDown() {
     wq_.clear();
     wq_bytes_ = 0;
   }
-  rq_.Close();
   CloseEdge();
 }
 

@@ -1,23 +1,16 @@
 // Reactor-driven connection endpoints.
 //
-// EpollChannel is the one TCP framer: a `Channel` over a non-blocking
+// EpollChannel is the one TCP framer: an `AsyncChannel` over a non-blocking
 // socket owned by one reactor loop — 4-byte little-endian length preamble,
-// `kMaxFrameBytes` cap enforced before allocation. All read parsing happens
-// on that loop thread; writes are buffered and flushed opportunistically
-// (EPOLLOUT is armed only while a short write leaves residue). Both ends of
-// every TCP connection in the tree are one: servers accept on
-// ReactorAcceptor, clients dial TcpConnect, which adopts the socket.
-//
-// Two delivery styles:
-//   * blocking-compat: without StartAsync(), parsed frames queue and
-//     Receive() blocks on them — how a client that keeps its own thread
-//     (subscription, remote master, sync fetches) reads. The queue is
-//     bounded (kReceiveHighWaterBytes), so TCP flow control slows the
-//     sender of a reader that falls behind;
-//   * async (the AsyncChannel contract, channel.h): StartAsync(on_frame,
-//     on_closed) delivers each frame on the loop thread — how every server,
-//     every TCP publisher link and every log sink consumes its connections,
-//     so no thread blocks per connection.
+// `kMaxFrameBytes` cap enforced before allocation. All read parsing and
+// every frame and close handler run on that loop thread; writes are
+// buffered and flushed opportunistically (EPOLLOUT is armed only while a
+// short write leaves residue). Both ends of every TCP connection in the
+// tree are one: servers accept on ReactorAcceptor, clients dial TcpConnect,
+// which adopts the socket. Frames that arrive before StartAsync() wait in a
+// loop-affine queue; afterwards the loop hands each frame to the handler as
+// it parses it and reads no further while the handler runs, so TCP flow
+// control slows the sender of a busy receiver.
 #pragma once
 
 #include <atomic>
@@ -27,7 +20,6 @@
 #include <memory>
 
 #include "common/mutex.h"
-#include "common/queue.h"
 #include "common/thread_annotations.h"
 #include "transport/channel.h"
 #include "transport/reactor.h"
@@ -41,8 +33,8 @@ class EpollChannel final : public AsyncChannel,
  public:
   /// Takes ownership of a connected socket fd, makes it non-blocking, and
   /// registers it with a round-robin-assigned reactor loop. The channel is
-  /// usable immediately; frames arriving before StartAsync() queue for
-  /// Receive(). The reactor must outlive the channel.
+  /// usable immediately; frames arriving before StartAsync() queue until
+  /// it. The reactor must outlive the channel.
   static std::shared_ptr<EpollChannel> Adopt(Reactor& reactor, int fd);
 
   ~EpollChannel() override;
@@ -52,10 +44,6 @@ class EpollChannel final : public AsyncChannel,
   /// or if the peer stalls long enough to accumulate an unreasonable
   /// backlog (the channel then closes, mirroring a dead TCP peer).
   bool Send(BytesView payload) override EXCLUDES(wmu_);
-
-  /// Blocking-compat receive; std::nullopt once closed and drained. Only
-  /// meaningful before StartAsync() — afterwards frames go to the handler.
-  std::optional<Bytes> Receive() override;
 
   std::size_t PendingSendBytes() const override EXCLUDES(wmu_);
 
@@ -72,11 +60,6 @@ class EpollChannel final : public AsyncChannel,
     return !closed_.load(std::memory_order_acquire);
   }
 
-  /// Bytes of frames queued for Receive() (each charged a fixed overhead on
-  /// top of its payload, so empty frames count too) at which the loop stops
-  /// reading the socket. A frame above the mark still queues whole.
-  static constexpr std::size_t kReceiveHighWaterBytes = 8u * 1024 * 1024;
-
  private:
   EpollChannel(Reactor& reactor, int fd, std::size_t loop);
 
@@ -89,11 +72,6 @@ class EpollChannel final : public AsyncChannel,
   void DeliverFrame(BytesView frame);
   void FlushWrites() EXCLUDES(wmu_);
   void TearDown() EXCLUDES(wmu_);
-  /// Drops EPOLLIN from the interest mask, or restores it.
-  void SetReadPaused(bool paused) EXCLUDES(wmu_);
-  /// Any thread: accounts for a frame taken off rq_, and resumes reading
-  /// once the queue drains to half the mark.
-  void Dequeued(std::size_t cost);
   std::uint32_t InterestLocked() const REQUIRES(wmu_);
   std::shared_ptr<AsyncChannel> Self() override { return shared_from_this(); }
   void DrainQueued() override;
@@ -107,11 +85,8 @@ class EpollChannel final : public AsyncChannel,
   Bytes rbuf_;
   std::size_t rpos_ = 0;
   bool torn_down_ = false;
-
-  // Blocking-compat receive queue and its charged bytes: added on the loop
-  // before a push, subtracted by whoever pops, so never below the truth.
-  ConcurrentQueue<Bytes> rq_;
-  std::atomic<std::size_t> rq_bytes_{0};
+  // Frames parsed before StartAsync(); DrainQueued() hands them over.
+  std::deque<Bytes> early_;
 
   // Write-side state, shared between senders and the loop, and the
   // interest mask both sides change.
@@ -125,8 +100,6 @@ class EpollChannel final : public AsyncChannel,
   bool flush_armed_ GUARDED_BY(wmu_) = false;
   // EPOLLOUT currently in the interest mask.
   bool want_write_ GUARDED_BY(wmu_) = false;
-  // EPOLLIN dropped from the interest mask: rq_ passed the high-water mark.
-  bool read_paused_ GUARDED_BY(wmu_) = false;
 
   std::atomic<bool> closed_{false};
 };

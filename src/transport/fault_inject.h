@@ -17,9 +17,10 @@
 //
 // The receive path is passed through untouched: ADLP's fault model perturbs
 // what a component manages to get onto the wire. StartAsync() on the
-// decorator takes over the inner channel's frames and close edge and
-// forwards both, on the inner channel's loop, so a disconnect fault reaches
-// the decorator's close handler like a real cut would.
+// decorator, the only way its frames are read, takes over the inner
+// channel's frames and close edge and forwards both, on the inner channel's
+// loop, so a disconnect fault reaches the decorator's close handler like a
+// real cut would.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +68,6 @@ class FaultInjectingChannel final
         rng_(rng) {}
 
   bool Send(BytesView payload) override EXCLUDES(mu_);
-  std::optional<Bytes> Receive() override { return inner_->Receive(); }
   void Close() override { inner_->Close(); }
   bool IsOpen() const override { return inner_->IsOpen(); }
   std::size_t PendingSendBytes() const override {

@@ -1,7 +1,6 @@
 #include "transport/inproc.h"
 
 #include <atomic>
-#include <thread>
 
 #include "common/clock.h"
 #include "common/queue.h"
@@ -69,18 +68,6 @@ class InProcEndpoint final
     InProcMetrics::Get().tx_bytes.Add(size);
     WakePeer();
     return true;
-  }
-
-  std::optional<Bytes> Receive() override {
-    auto msg = rx_->frames.Pop();
-    if (!msg) return std::nullopt;
-    const Timestamp now = MonotonicNowNs();
-    if (msg->due_ns > now) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(msg->due_ns - now));
-    }
-    InProcMetrics::Get().rx_frames.Add(1);
-    InProcMetrics::Get().rx_bytes.Add(msg->payload.size());
-    return std::move(msg->payload);
   }
 
   void Close() override {

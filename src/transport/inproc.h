@@ -2,11 +2,10 @@
 //
 // An optional `LinkModel` simulates propagation latency and serialization
 // (bandwidth) delay: each message carries a delivery-due time computed at
-// send. A blocking Receive() waits until the due time. An end bound to a
-// reactor may instead StartAsync() (the AsyncChannel contract, channel.h):
-// its loop then delivers each frame at or after its due time, at most one
-// timer-wheel tick late, and never ahead of an earlier frame. With the
-// default model the channel delivers immediately.
+// send. Each end's loop delivers a frame to its handler (the AsyncChannel
+// contract, channel.h) at or after its due time, at most one timer-wheel
+// tick late, and never ahead of an earlier frame. With the default model
+// the channel delivers immediately.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +39,9 @@ struct InProcChannelPair {
 
 /// Creates a connected endpoint pair. Both endpoints share ownership of the
 /// underlying queues; closing either end closes the connection. Both are
-/// bound to one loop of `reactor`, as an adopted EpollChannel is, so either
-/// may StartAsync(); an end that never does keeps its blocking Receive().
-/// The reactor must outlive the endpoints.
+/// bound to one loop of `reactor`, as an adopted EpollChannel is; frames
+/// sent to an end wait in its queue until it calls StartAsync(). The
+/// reactor must outlive the endpoints.
 InProcChannelPair MakeInProcChannelPair(Reactor& reactor, LinkModel model = {});
 
 }  // namespace adlp::transport

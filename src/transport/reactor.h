@@ -2,10 +2,11 @@
 // non-blocking connections. It is the only way a TCP connection is driven:
 // the node's data listener, MasterService and LogServerService all accept
 // and serve on it, so C10k-scale fan-out costs loop wakeups, not threads,
-// and every dialled client end is adopted on it too. Every publisher link,
-// in-proc or TCP, and every log sink (spool pump, acks, reconnect backoff)
-// runs on it. Clients that keep a thread of their own block in the adopted
-// channel's Receive().
+// and every dialled client end is adopted on it too. Every connection
+// consumer runs on it: publisher links and subscriptions, in-proc or TCP,
+// log sinks (spool pump, acks, reconnect backoff), RemoteMaster's reader
+// and the sync client's reply handoff. Handlers run on a loop, so nothing
+// that waits for a loop may run on one.
 //
 // Each loop owns an epoll instance, an eventfd for cross-thread wakeup, and
 // a hashed timer wheel for backoff/timeout scheduling. Connections

@@ -3,7 +3,8 @@
 //
 // A dial blocks until the connection is up, then hands the socket to
 // Reactor::Global() as an adopted EpollChannel, so every TCP end in the
-// tree shares one framer. The first dial therefore starts the global
+// tree shares one framer; the caller attaches its handlers right after.
+// The first dial therefore starts the global
 // reactor's loop threads, also in a client-only process such as
 // `adlp_audit --replica-addr`.
 #pragma once

@@ -222,6 +222,46 @@ TEST(ComponentTest, TcpPublisherCpuTimeMatchesInProc) {
       << "tcp " << tcp << " ns vs in-proc " << inproc << " ns";
 }
 
+/// Subscriber CPU time of the run PublisherCpuNs makes: the subscription's
+/// loop work (Eq. 3 verify, h(D), ACK signing, the callback).
+std::int64_t SubscriberCpuNs(TransportKind transport, int count) {
+  MiniSystem sys;
+  ComponentOptions opts = FastOptions();
+  opts.sig_algorithm = crypto::SigAlgorithm::kEd25519;
+  opts.adlp.peer_keys = &sys.server.Keys();
+  opts.transport = transport;
+  auto& pub = sys.Add("camera", opts);
+  auto& sub = sys.Add("detector", opts);
+  std::atomic<int> got{0};
+  sub.Subscribe("steering", [&](const pubsub::Message&) { got++; });
+  auto& p = pub.Advertise("steering");
+  EXPECT_TRUE(p.WaitForSubscribers(1));
+  for (int i = 0; i < count; ++i) {
+    p.Publish(Bytes(20, static_cast<std::uint8_t>(i)));
+  }
+  EXPECT_TRUE(WaitFor([&] { return got.load() == count; }));
+  pub.Shutdown();
+  sub.Shutdown();  // the last handler has returned
+  return sub.CpuTimeNs();
+}
+
+TEST(ComponentTest, TcpSubscriberCpuTimeMatchesInProc) {
+  // A subscription's verify/hash/sign runs on a reactor loop over TCP and
+  // in-proc alike, billed to the subscriber either way, so the two
+  // accounts must agree. Cheapest of three alternating runs, as for the
+  // publisher.
+  constexpr int kCount = 400;
+  std::int64_t inproc = std::numeric_limits<std::int64_t>::max();
+  std::int64_t tcp = inproc;
+  for (int run = 0; run < 3; ++run) {
+    inproc = std::min(inproc, SubscriberCpuNs(TransportKind::kInProc, kCount));
+    tcp = std::min(tcp, SubscriberCpuNs(TransportKind::kTcp, kCount));
+  }
+  ASSERT_GT(inproc, 0);
+  EXPECT_GE(static_cast<double>(tcp), 0.8 * static_cast<double>(inproc))
+      << "tcp " << tcp << " ns vs in-proc " << inproc << " ns";
+}
+
 TEST(ComponentTest, ShutdownIsIdempotent) {
   MiniSystem sys;
   auto& c = sys.Add("solo");

@@ -132,6 +132,21 @@ void SeedSource(proto::LogServer& source, std::uint64_t records,
   }
 }
 
+/// Image-sized payload of the paper's camera (Table I).
+constexpr std::size_t kImageBytes = 921'641;
+
+/// One sealed epoch of `records` Image-sized tagged entries: together far
+/// more than one frame may carry.
+void SeedImageEpoch(proto::LogServer& source, std::uint64_t records) {
+  for (std::uint64_t seq = 1; seq <= records; ++seq) {
+    proto::LogEntry entry = MakeEntry(seq);
+    entry.data.assign(kImageBytes, static_cast<std::uint8_t>(seq));
+    ASSERT_EQ(source.ApplyTaggedEntry("fleet-sink", seq, entry),
+              proto::LogServer::UploadSeqOutcome::kFresh);
+  }
+  ASSERT_TRUE(source.SealEpoch().has_value());
+}
+
 void ExpectConverged(const proto::LogServer& local,
                      const proto::LogServer& source) {
   EXPECT_EQ(local.EntryCount(), source.EntryCount());
@@ -284,6 +299,25 @@ TEST(RepairSyncMsgsTest, HandleSyncRequestServesRootsRecordsAndProofs) {
   EXPECT_EQ(info.watermarks, server.UploadWatermarksAtSeal(0));
 }
 
+TEST(RepairSyncMsgsTest, RecordsReplyStaysUnderTheFrameCap) {
+  // 80 Image records are ~74 MB: a reply with all of them would pass the
+  // frame cap, and the client would drop it with the connection. The
+  // server stops short, and still serves at least one record.
+  proto::LogServer server;
+  SeedImageEpoch(server, 80);
+  const auto resp = proto::HandleSyncRequest(
+      proto::SerializeSyncGetRecords({0, proto::kMaxSyncRecordsPerBatch}),
+      server);
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_LE(resp->size(), transport::kMaxFrameBytes);
+  const auto records = proto::ParseSyncRecords(*resp);
+  EXPECT_EQ(records.first, 0u);
+  ASSERT_GE(records.records.size(), 1u);
+  EXPECT_LT(records.records.size(), 80u);
+  EXPECT_EQ(records.records,
+            server.RecordRange(0, records.records.size()));
+}
+
 TEST(RepairSyncMsgsTest, HandleSyncRequestIgnoresUploadFrames) {
   proto::LogServer server;
   EXPECT_FALSE(
@@ -320,9 +354,10 @@ TEST(RepairGapHoldTest, ServerClosesConnectionOnGappedUpload) {
   proto::LogServer server;
   proto::LogServerService service(server, 0);
   auto channel = transport::TcpConnect(service.Port());
+  test::Inbox inbox(*channel);
 
   ASSERT_TRUE(channel->Send(proto::SerializeLogUpload(MakeEntry(1), "s", 1)));
-  auto ack = channel->Receive();
+  auto ack = inbox.Pop();
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(proto::ParseLogAck(*ack), 1u);
 
@@ -330,7 +365,7 @@ TEST(RepairGapHoldTest, ServerClosesConnectionOnGappedUpload) {
   // the frame, send NO ack, and close so the leg re-enters backoff instead
   // of forking this replica off the fleet's record order.
   ASSERT_TRUE(channel->Send(proto::SerializeLogUpload(MakeEntry(3), "s", 3)));
-  EXPECT_FALSE(channel->Receive().has_value());
+  EXPECT_FALSE(inbox.Pop().has_value());
   EXPECT_EQ(server.EntryCount(), 1u);
   EXPECT_EQ(server.UploadWatermark("s"), 1u);
   service.Shutdown();
@@ -509,6 +544,44 @@ TEST(RepairAgentTest, RepairsOverRealTcp) {
   EXPECT_EQ(agent.RunOnce(), 8u);
   ExpectConverged(local, source);
   service.Shutdown();
+}
+
+TEST(RepairAgentTest, ImageEpochConvergesOverTcpInOneRound) {
+  // One sealed epoch of 80 Image records with default options: the records
+  // replies come back short of the frame cap, and the agent pages on.
+  proto::LogServer source;
+  SeedImageEpoch(source, 80);
+  proto::LogServerService service(source, 0);
+
+  proto::LogServer local;
+  proto::RepairAgentOptions options = AgentOptions(source);
+  options.peers.push_back(proto::TcpRepairPeer("peer-0", service.Port()));
+  proto::RepairAgent agent(local, options);
+
+  EXPECT_EQ(agent.RunOnce(), 80u);
+  ExpectConverged(local, source);
+  EXPECT_EQ(agent.Stats().peer_failures, 0u);
+  EXPECT_TRUE(agent.Findings().empty());
+  service.Shutdown();
+}
+
+TEST(RepairAgentTest, SilentPeerFailsTheRoundAndStopReturns) {
+  // A peer that accepts (the kernel completes the handshake) and never
+  // replies. The fetch's reply deadline (5 s) closes the connection, so the
+  // round counts a peer failure and Stop returns instead of hanging.
+  transport::TcpListener silent(0);
+  proto::LogServer local;
+  proto::RepairAgentOptions options;
+  options.seal_key = proto::EpochSealKeys(1).pub;
+  options.peers.push_back(proto::TcpRepairPeer("silent", silent.Port()));
+  proto::RepairAgent agent(local, options);
+  agent.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto stop_start = std::chrono::steady_clock::now();
+  agent.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(6));
+  EXPECT_GE(agent.Stats().peer_failures, 1u);
 }
 
 TEST(RepairAgentTest, BackgroundThreadConvergesAndStops) {

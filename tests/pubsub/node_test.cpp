@@ -6,9 +6,11 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adlp/protocols.h"
+#include "pubsub/remote_master.h"
 #include "test_util.h"
 #include "transport/reactor.h"
 
@@ -441,9 +443,9 @@ std::size_t ProcessThreads() {
   return threads;
 }
 
-TEST(ThreadBudgetTest, InProcLinksAddOnlyReceiveThreads) {
-  // Every publisher link runs on the shared reactor, so each in-proc
-  // subscriber costs exactly one thread: its subscription's receive thread.
+TEST(ThreadBudgetTest, InProcSubscriptionsAddNoThreads) {
+  // Every publisher link and every subscription runs on the shared
+  // reactor, so in-proc subscribers cost no thread at all.
   transport::Reactor::Global();  // its loop threads exist once per process
   Master master;
   Node pub("pub", master, PlainOptions());
@@ -456,7 +458,102 @@ TEST(ThreadBudgetTest, InProcLinksAddOnlyReceiveThreads) {
   const std::size_t before = ProcessThreads();
   for (auto& sub : subs) sub->Subscribe("t", [](const Message&) {});
   ASSERT_TRUE(p.WaitForSubscribers(8));
-  EXPECT_EQ(ProcessThreads() - before, 8u);
+  EXPECT_EQ(ProcessThreads() - before, 0u);
+}
+
+TEST(ThreadBudgetTest, TcpSubscriptionsAddNoThreads) {
+  transport::Reactor::Global();
+  Master master;
+  NodeOptions opts = PlainOptions();
+  opts.transport = TransportKind::kTcp;
+  Node pub("pub", master, opts);
+  auto& p = pub.Advertise("t");
+  std::vector<std::unique_ptr<Node>> subs;
+  for (int i = 0; i < 4; ++i) {
+    subs.push_back(
+        std::make_unique<Node>("sub" + std::to_string(i), master, opts));
+  }
+  const std::size_t before = ProcessThreads();
+  std::atomic<int> got{0};
+  for (auto& sub : subs) sub->Subscribe("t", [&](const Message&) { got++; });
+  ASSERT_TRUE(p.WaitForSubscribers(4));
+  p.Publish(Bytes{1});
+  ASSERT_TRUE(WaitFor([&] { return got.load() == 4; }));
+  EXPECT_EQ(ProcessThreads() - before, 0u);
+}
+
+TEST(ThreadBudgetTest, RemoteMasterClientAddsNoThreads) {
+  transport::Reactor::Global();
+  MasterService service(0);
+  const std::size_t before = ProcessThreads();
+  RemoteMaster master(service.Port());
+  EXPECT_TRUE(master.Topology().empty());
+  EXPECT_EQ(ProcessThreads() - before, 0u);
+}
+
+TEST(DepartedSubscriberTest, PublishFromCallbackRetiresWithoutWaiting) {
+  // A callback runs on its connection's loop and may publish. A link stops
+  // being live as soon as its subscriber closes, before its loop runs the
+  // close edge, so retiring it from a callback on that loop must not wait
+  // for the edge. The subscribers leave while the callback holds its loop,
+  // one departed link per loop, so one of them shares the callback's loop.
+  auto& reactor = transport::Reactor::Global();
+  const std::size_t first = reactor.AssignLoop();
+  std::size_t loops = 1;
+  while (reactor.AssignLoop() != first) ++loops;
+
+  Master master;
+  auto factory = std::make_shared<MockAckFactory>();
+  factory->replying = false;  // stall the links, so they drop
+  NodeOptions opts;
+  opts.protocol = factory;
+  opts.max_queue = 2;
+  Node relay("relay", master, opts);
+  auto& out = relay.Advertise("out");
+  // Consecutive in-proc pairs take consecutive loops.
+  std::vector<std::unique_ptr<Node>> leavers;
+  for (std::size_t i = 0; i < loops; ++i) {
+    leavers.push_back(
+        std::make_unique<Node>("leaver" + std::to_string(i), master, opts));
+    leavers.back()->Subscribe("out", [](const Message&) {});
+  }
+  ASSERT_TRUE(out.WaitForSubscribers(loops));
+  for (int i = 0; i < 20; ++i) out.Publish(Bytes{1});
+  ASSERT_TRUE(WaitFor([&] { return out.DroppedCount() >= 17 * loops; }));
+  const std::uint64_t dropped = out.DroppedCount();
+
+  std::atomic<bool> in_callback{false};
+  std::atomic<std::int64_t> publish_ns{-1};
+  relay.Subscribe("in", [&](const Message&) {
+    in_callback.store(true);
+    // Hold the loop until every subscriber of "out" has left.
+    if (!WaitFor([&] { return out.SubscriberCount() == 0; })) return;
+    const Timestamp start = MonotonicNowNs();
+    out.Publish(Bytes{2});
+    publish_ns.store(MonotonicNowNs() - start);
+  });
+  Node source("source", master, opts);
+  auto& in = source.Advertise("in");
+  in.Publish(Bytes{1});
+  ASSERT_TRUE(WaitFor([&] { return in_callback.load(); }));
+  // One thread each: a leaver whose pair shares the callback's loop waits
+  // for that loop in its Shutdown.
+  std::vector<std::thread> leaving;
+  for (auto& leaver : leavers) {
+    leaving.emplace_back([&leaver] { leaver->Shutdown(); });
+  }
+  for (auto& t : leaving) t.join();
+  ASSERT_TRUE(WaitFor([&] { return publish_ns.load() >= 0; }));
+  EXPECT_LT(publish_ns.load(), 100'000'000);
+  EXPECT_EQ(out.DroppedCount(), dropped);
+  // Every departed link was retired: once their close edges ran, the
+  // publications they held are released. Only the one "in" publication,
+  // still waiting for its ACK, stays referenced.
+  EXPECT_TRUE(WaitFor([&] {
+    out.Publish(Bytes{3});
+    return factory->live->load() == 1;
+  })) << factory->live->load() << " publications still held";
+  EXPECT_EQ(out.DroppedCount(), dropped);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Shared test utilities: cheap deterministic identities, a two-component
-// harness, and helpers for constructing honest log-entry pairs without
-// spinning up the full pipeline.
+// harness, a channel inbox, and helpers for constructing honest log-entry
+// pairs without spinning up the full pipeline.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -16,6 +20,7 @@
 #include "common/rng.h"
 #include "faults/fabricate.h"
 #include "pubsub/master.h"
+#include "transport/channel.h"
 
 namespace adlp::test {
 
@@ -52,6 +57,51 @@ inline bool WaitFor(const std::function<bool()>& predicate,
   }
   return true;
 }
+
+/// A channel's frames, collected by its handlers for a test thread to take
+/// in order. The state is shared with the handlers, so the inbox may go
+/// before the channel's close edge.
+class Inbox {
+ public:
+  /// Attaches to `channel` (StartAsync): every frame queues here, and the
+  /// close edge ends the queue.
+  explicit Inbox(transport::AsyncChannel& channel) {
+    channel.StartAsync(
+        [state = state_](BytesView frame) {
+          std::lock_guard lock(state->mu);
+          state->frames.emplace_back(frame.begin(), frame.end());
+          state->cv.notify_all();
+        },
+        [state = state_] {
+          std::lock_guard lock(state->mu);
+          state->closed = true;
+          state->cv.notify_all();
+        });
+  }
+
+  /// The next frame; std::nullopt once the channel closed and every frame
+  /// was taken, or when `timeout` passes first.
+  std::optional<Bytes> Pop(std::chrono::milliseconds timeout =
+                               std::chrono::milliseconds(5000)) {
+    std::unique_lock lock(state_->mu);
+    state_->cv.wait_for(lock, timeout, [this] {
+      return !state_->frames.empty() || state_->closed;
+    });
+    if (state_->frames.empty()) return std::nullopt;
+    Bytes frame = std::move(state_->frames.front());
+    state_->frames.pop_front();
+    return frame;
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<Bytes> frames;
+    bool closed = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
 
 /// Component options preset for tests: small keys, wall clock.
 inline proto::ComponentOptions FastOptions(

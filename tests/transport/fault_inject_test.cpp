@@ -4,11 +4,14 @@
 
 #include <atomic>
 
+#include "test_util.h"
 #include "transport/inproc.h"
 #include "transport/reconnect.h"
 
 namespace adlp::transport {
 namespace {
+
+using test::Inbox;
 
 struct FaultyEnds {
   ChannelPtr a;  // the faulty sender's end
@@ -26,15 +29,17 @@ std::size_t CountDelivered(const ChannelPtr& sender, const ChannelPtr& receiver,
     (void)sender->Send(Bytes{static_cast<std::uint8_t>(i)});
   }
   sender->Close();
+  Inbox inbox(*receiver);
   std::size_t delivered = 0;
-  while (receiver->Receive()) ++delivered;
+  while (inbox.Pop()) ++delivered;
   return delivered;
 }
 
 TEST(FaultInjectTest, NoFaultsIsTransparent) {
   auto pair = FaultyPair(FaultPlan{}, 1);
+  Inbox inbox(*pair.b);
   ASSERT_TRUE(pair.a->Send(Bytes{1, 2, 3}));
-  auto r = pair.b->Receive();
+  auto r = inbox.Pop();
   ASSERT_TRUE(r);
   EXPECT_EQ(*r, (Bytes{1, 2, 3}));
 }
@@ -53,8 +58,9 @@ TEST(FaultInjectTest, DropsFramesButReportsSuccess) {
   EXPECT_GT(stats.forwarded, 0u);
   EXPECT_EQ(stats.dropped + stats.forwarded, 100u);
   pair.a->Close();
+  Inbox inbox(*pair.b);
   std::size_t delivered = 0;
-  while (pair.b->Receive()) ++delivered;
+  while (inbox.Pop()) ++delivered;
   EXPECT_EQ(delivered, stats.forwarded);
 }
 
@@ -73,9 +79,10 @@ TEST(FaultInjectTest, DuplicatesFrames) {
   FaultPlan plan;
   plan.duplicate_prob = 1.0;
   auto pair = FaultyPair(plan, 3);
+  Inbox inbox(*pair.b);
   ASSERT_TRUE(pair.a->Send(Bytes{9}));
-  auto r1 = pair.b->Receive();
-  auto r2 = pair.b->Receive();
+  auto r1 = inbox.Pop();
+  auto r2 = inbox.Pop();
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(*r1, *r2);
 }
@@ -85,8 +92,9 @@ TEST(FaultInjectTest, CorruptsExactlyOneByte) {
   plan.corrupt_prob = 1.0;
   auto pair = FaultyPair(plan, 4);
   const Bytes original(64, 0xAB);
+  Inbox inbox(*pair.b);
   ASSERT_TRUE(pair.a->Send(original));
-  auto r = pair.b->Receive();
+  auto r = inbox.Pop();
   ASSERT_TRUE(r);
   ASSERT_EQ(r->size(), original.size());
   std::size_t diffs = 0;
@@ -107,8 +115,9 @@ TEST(FaultInjectTest, HardDisconnectAfterNFrames) {
   EXPECT_FALSE(pair.a->Send(Bytes{99}));
   EXPECT_FALSE(pair.a->IsOpen());
   EXPECT_FALSE(pair.a->Send(Bytes{100}));
+  Inbox inbox(*pair.b);
   std::size_t delivered = 0;
-  while (pair.b->Receive()) ++delivered;
+  while (inbox.Pop()) ++delivered;
   EXPECT_EQ(delivered, 3u);
 }
 
@@ -116,11 +125,12 @@ TEST(FaultInjectTest, DelayStillDeliversIntact) {
   FaultPlan plan;
   plan.delay_ns_max = 2'000'000;  // up to 2 ms
   auto pair = FaultyPair(plan, 6);
+  Inbox inbox(*pair.b);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(pair.a->Send(Bytes{static_cast<std::uint8_t>(i)}));
   }
   for (int i = 0; i < 5; ++i) {
-    auto r = pair.b->Receive();
+    auto r = inbox.Pop();
     ASSERT_TRUE(r);
     EXPECT_EQ((*r)[0], static_cast<std::uint8_t>(i));
   }

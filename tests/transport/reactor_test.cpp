@@ -22,6 +22,7 @@
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "obs/instrument.h"
+#include "test_util.h"
 #include "transport/epoll_channel.h"
 #include "transport/inproc.h"
 #include "transport/reactor.h"
@@ -363,29 +364,34 @@ TEST(EpollChannelTest, OversizedPreambleClosesConnection) {
 }
 
 TEST(EpollChannelTest, CloseUnblocksReceiveAndTearsDown) {
+  // A local Close() reaches the handlers as the close edge, with no frame,
+  // releases a thread in WaitClosed, and leaves the channel unable to send.
   Reactor reactor;
   TcpListener listener(0);
   RawPair pair = MakeRawPair(reactor, listener);
 
-  std::thread receiver([&] {
-    EXPECT_FALSE(pair.server->Receive().has_value());
-  });
+  std::atomic<int> frames{0};
+  std::atomic<bool> closed{false};
+  pair.server->StartAsync([&](BytesView) { ++frames; },
+                          [&] { closed.store(true); });
+  std::thread waiter([&] { EXPECT_TRUE(pair.server->WaitClosed(5000)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   pair.server->Close();
-  receiver.join();
-  EXPECT_TRUE(pair.server->WaitClosed(2000));
+  waiter.join();
+  EXPECT_TRUE(closed.load());
+  EXPECT_EQ(frames.load(), 0);
   EXPECT_FALSE(pair.server->Send(Bytes{1}));
 }
 
 // --- The AsyncChannel contract, over both implementations -------------------
 //
-// One body per property, run over an EpollChannel (with a dialled client
-// read through its blocking Receive() as its peer) and over the async end of
-// an in-proc pair (with the pair's other end as its peer).
+// One body per property, run over an EpollChannel (with a dialled client,
+// read through a test inbox, as its peer) and over one end of an in-proc
+// pair (with the pair's other end as its peer).
 
 enum class AsyncKind { kEpoll, kInProc };
 
-/// An async end and the blocking peer that talks to it.
+/// An async end and the peer that talks to it.
 struct AsyncPair {
   std::shared_ptr<AsyncChannel> end;
   ChannelPtr peer;
@@ -548,9 +554,10 @@ void ExpectFrameHandlerMaySendOnItsOwnEnd(AsyncKind kind) {
         EXPECT_TRUE(end->Send(reply));
       },
       nullptr);
+  test::Inbox replies(*pair.peer);
   for (std::uint8_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(pair.peer->Send(Bytes{i}));
-    auto reply = pair.peer->Receive();
+    auto reply = replies.Pop();
     ASSERT_TRUE(reply);
     EXPECT_EQ(*reply, (Bytes{i, 0xff}));
   }
@@ -570,10 +577,9 @@ TEST(InProcChannelTest, FrameHandlerMaySendOnItsOwnEnd) {
 // --- Blocking client vs reactor server --------------------------------------
 
 TEST(EpollChannelTest, InteroperatesWithBlockingTcpChannel) {
-  // How every TCP link in the tree is paired: the server end accepted and
-  // driven by the reactor, the client end dialled and read through its
-  // blocking Receive(), as a subscription's thread reads it. The framing
-  // must be byte-identical in both directions.
+  // How every TCP link in the tree is paired: the server end accepted by
+  // the reactor, the client end dialled and adopted, as a subscription's
+  // is. The framing must be byte-identical in both directions.
   Reactor reactor;
   TcpListener listener(0);
 
@@ -599,16 +605,18 @@ TEST(EpollChannelTest, InteroperatesWithBlockingTcpChannel) {
   for (std::size_t i = 0; i < msg2.size(); ++i) {
     msg2[i] = static_cast<std::uint8_t>(i);
   }
+  test::Inbox at_server(*server);
+  test::Inbox at_client(*client);
   ASSERT_TRUE(client->Send(msg1));
   ASSERT_TRUE(client->Send(msg2));
-  auto r1 = server->Receive();
-  auto r2 = server->Receive();
+  auto r1 = at_server.Pop();
+  auto r2 = at_server.Pop();
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(*r1, msg1);
   EXPECT_EQ(*r2, msg2);
 
   ASSERT_TRUE(server->Send(msg2));
-  auto r3 = client->Receive();
+  auto r3 = at_client.Pop();
   ASSERT_TRUE(r3);
   EXPECT_EQ(*r3, msg2);
 
@@ -688,10 +696,11 @@ TEST(ReactorAcceptorTest, FdExhaustionDefersAcceptsInsteadOfSpinning) {
   }
 
   // The recovered connection is fully functional.
+  test::Inbox inbox(*accepted);
   const Bytes framed = wire::FramePayload(Bytes{42});
   ASSERT_EQ(::send(client_fd, framed.data(), framed.size(), 0),
             static_cast<ssize_t>(framed.size()));
-  auto frame = accepted->Receive();
+  auto frame = inbox.Pop();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(*frame, Bytes{42});
 

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "common/clock.h"
 #include "common/rng.h"
 #include "obs/instrument.h"
+#include "test_util.h"
 #include "transport/epoll_channel.h"
 #include "transport/inproc.h"
 #include "transport/tcp.h"
@@ -21,22 +23,26 @@
 namespace adlp::transport {
 namespace {
 
+using test::Inbox;
+
 void ExerciseEcho(const ChannelPtr& a, const ChannelPtr& b) {
   Rng rng(1);
   const Bytes msg1 = rng.RandomBytes(100);
   const Bytes msg2 = rng.RandomBytes(100000);
+  Inbox at_a(*a);
+  Inbox at_b(*b);
 
   ASSERT_TRUE(a->Send(msg1));
   ASSERT_TRUE(a->Send(msg2));
-  auto r1 = b->Receive();
-  auto r2 = b->Receive();
+  auto r1 = at_b.Pop();
+  auto r2 = at_b.Pop();
   ASSERT_TRUE(r1 && r2);
   EXPECT_EQ(*r1, msg1);  // FIFO order preserved
   EXPECT_EQ(*r2, msg2);
 
   // Duplex: the other direction works too.
   ASSERT_TRUE(b->Send(msg1));
-  auto r3 = a->Receive();
+  auto r3 = at_a.Pop();
   ASSERT_TRUE(r3);
   EXPECT_EQ(*r3, msg1);
 }
@@ -48,21 +54,27 @@ TEST(InProcChannelTest, EchoBothDirections) {
 
 TEST(InProcChannelTest, EmptyMessage) {
   auto pair = MakeInProcChannelPair(Reactor::Global());
+  Inbox inbox(*pair.b);
   ASSERT_TRUE(pair.a->Send({}));
-  auto r = pair.b->Receive();
+  auto r = inbox.Pop();
   ASSERT_TRUE(r);
   EXPECT_TRUE(r->empty());
 }
 
 TEST(InProcChannelTest, CloseUnblocksReceiver) {
+  // The peer's close reaches the receiving end as its close edge: the
+  // close handler runs, with no frame, and WaitClosed returns.
   auto pair = MakeInProcChannelPair(Reactor::Global());
-  std::thread receiver([&] {
-    auto r = pair.b->Receive();
-    EXPECT_FALSE(r.has_value());
-  });
+  std::atomic<int> frames{0};
+  std::atomic<bool> closed{false};
+  pair.b->StartAsync([&](BytesView) { ++frames; },
+                     [&] { closed.store(true); });
+  std::thread waiter([&] { EXPECT_TRUE(pair.b->WaitClosed(5000)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   pair.a->Close();
-  receiver.join();
+  waiter.join();
+  EXPECT_TRUE(closed.load());
+  EXPECT_EQ(frames.load(), 0);
 }
 
 TEST(InProcChannelTest, SendAfterCloseFails) {
@@ -78,18 +90,20 @@ TEST(InProcChannelTest, DrainAfterClose) {
   ASSERT_TRUE(pair.a->Send(Bytes{2}));
   pair.a->Close();
   // Queued messages are still deliverable after close.
-  EXPECT_TRUE(pair.b->Receive().has_value());
-  EXPECT_TRUE(pair.b->Receive().has_value());
-  EXPECT_FALSE(pair.b->Receive().has_value());
+  Inbox inbox(*pair.b);
+  EXPECT_TRUE(inbox.Pop().has_value());
+  EXPECT_TRUE(inbox.Pop().has_value());
+  EXPECT_FALSE(inbox.Pop().has_value());
 }
 
 TEST(InProcChannelTest, LatencyModelDelaysDelivery) {
   LinkModel model;
   model.latency_ns = 20'000'000;  // 20 ms
   auto pair = MakeInProcChannelPair(Reactor::Global(), model);
+  Inbox inbox(*pair.b);
   const Timestamp start = MonotonicNowNs();
   ASSERT_TRUE(pair.a->Send(Bytes{1}));
-  auto r = pair.b->Receive();
+  auto r = inbox.Pop();
   const Timestamp elapsed = MonotonicNowNs() - start;
   ASSERT_TRUE(r);
   EXPECT_GE(elapsed, 18'000'000);  // allow scheduler slop
@@ -153,7 +167,7 @@ TEST(InProcChannelTest, AsyncDeliveryIsNeverEarly) {
 
 TEST(InProcChannelTest, AsyncDeliveryKeepsSendOrderUnderBandwidthModel) {
   // A small frame sent right after a large one is due first; it must still
-  // wait for the large one, as the blocking end's FIFO Receive() does.
+  // wait for the large one: frames arrive in send order.
   Reactor reactor;
   LinkModel model;
   model.bandwidth_bytes_per_sec = 1'000'000;  // 100 KB -> 100 ms
@@ -175,6 +189,7 @@ TEST(InProcChannelTest, AsyncDeliveryKeepsSendOrderUnderBandwidthModel) {
 
 TEST(InProcChannelTest, ConcurrentSendersAllDelivered) {
   auto pair = MakeInProcChannelPair(Reactor::Global());
+  Inbox inbox(*pair.b);
   constexpr int kSenders = 4;
   constexpr int kPerSender = 250;
   std::vector<std::thread> senders;
@@ -187,7 +202,7 @@ TEST(InProcChannelTest, ConcurrentSendersAllDelivered) {
   }
   int received = 0;
   for (int i = 0; i < kSenders * kPerSender; ++i) {
-    ASSERT_TRUE(pair.b->Receive().has_value());
+    ASSERT_TRUE(inbox.Pop().has_value());
     ++received;
   }
   for (auto& t : senders) t.join();
@@ -220,10 +235,11 @@ TEST(TcpChannelTest, LargeMessageIntegrity) {
   ChannelPtr client = TcpConnect(listener.Port());
   ChannelPtr server = AcceptOn(listener);
 
+  Inbox inbox(*server);
   Rng rng(3);
   const Bytes big = rng.RandomBytes(2'000'000);  // 2 MB > Image size
   ASSERT_TRUE(client->Send(big));
-  auto r = server->Receive();
+  auto r = inbox.Pop();
   ASSERT_TRUE(r);
   EXPECT_EQ(*r, big);
 }
@@ -233,8 +249,9 @@ TEST(TcpChannelTest, PeerCloseEndsReceive) {
   ChannelPtr client = TcpConnect(listener.Port());
   ChannelPtr server = AcceptOn(listener);
 
+  Inbox inbox(*server);
   client->Close();
-  EXPECT_FALSE(server->Receive().has_value());
+  EXPECT_FALSE(inbox.Pop().has_value());
 }
 
 TEST(TcpChannelTest, ConnectToClosedPortThrows) {
@@ -254,9 +271,10 @@ TEST(TcpChannelTest, OversizedFramePreambleRejectedWithoutAllocation) {
 
   // A ~4 GiB length claim. The channel must reject it by inspecting the
   // preamble alone — no multi-GB allocation, no waiting for 4 GiB of body.
+  Inbox inbox(*client);
   const std::uint8_t forged[4] = {0xff, 0xff, 0xff, 0xff};
   ASSERT_EQ(::send(fd, forged, sizeof(forged), 0), 4);
-  EXPECT_FALSE(client->Receive().has_value());
+  EXPECT_FALSE(inbox.Pop().has_value());
   EXPECT_FALSE(client->IsOpen());  // connection dropped: offset unrecoverable
   ::close(fd);
 }
@@ -268,17 +286,18 @@ TEST(TcpChannelTest, FrameAtLimitStillAccepted) {
   // Well under kMaxFrameBytes but above any small-buffer path, and larger
   // than the loopback socket buffer: the send returns at once and the
   // residue drains while the receiver reads.
+  Inbox inbox(*server);
   const Bytes big(5'000'000, 0x5a);
   ASSERT_TRUE(client->Send(big));
-  auto r = server->Receive();
+  auto r = inbox.Pop();
   ASSERT_TRUE(r);
   EXPECT_EQ(r->size(), big.size());
 }
 
 TEST(TcpChannelTest, SlowReaderBoundsItsReceiveQueue) {
-  // A dialled client whose reader falls behind must not buffer without
-  // bound: past the high-water mark its loop stops reading, so the rest
-  // waits in the kernel and on the sending side, held by TCP flow control.
+  // A dialled client whose frame handler is slow must not buffer without
+  // bound: its loop reads nothing while the handler runs, so the rest waits
+  // in the kernel and on the sending side, held by TCP flow control.
   TcpListener listener(0);
   ChannelPtr client = TcpConnect(listener.Port());
   ChannelPtr server = AcceptOn(listener);
@@ -286,36 +305,63 @@ TEST(TcpChannelTest, SlowReaderBoundsItsReceiveQueue) {
   const std::uint64_t rx_before = rx.Value();
   const Bytes frame(1u << 20, 0x5a);
   constexpr int kFrames = 48;
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::mutex mu;
+  std::vector<Bytes> got;
+  client->StartAsync(
+      [&, released](BytesView f) {
+        released.wait();
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        std::lock_guard lock(mu);
+        got.emplace_back(f.begin(), f.end());
+      },
+      nullptr);
   for (int i = 0; i < kFrames; ++i) ASSERT_TRUE(server->Send(frame));
-  // Let the client's loop read all it will: the count stops moving.
+  // Let the client's loop read all it will while the handler holds it: the
+  // count stops moving.
   std::uint64_t read = 0;
   do {
     read = rx.Value();
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   } while (rx.Value() != read);
-  // The mark, the frame that crossed it, and the rest of that read chunk.
-  EXPECT_LE(read - rx_before,
-            EpollChannel::kReceiveHighWaterBytes + 2 * frame.size());
-  // A reader that catches up gets every frame, in order.
-  for (int i = 0; i < kFrames; ++i) {
-    auto r = client->Receive();
-    ASSERT_TRUE(r);
-    EXPECT_EQ(*r, frame);
-  }
+  // The frame in the handler, the partial next one and one read chunk: the
+  // receiver holds no queue of frames.
+  EXPECT_LE(read - rx_before, 2 * frame.size() + 64 * 1024);
+  // The rest waits on the sender (the kernel's buffers hold a few MiB).
+  EXPECT_GE(server->PendingSendBytes(), (kFrames / 2) * frame.size());
+
+  // A handler that catches up gets every frame, in order, and the sender's
+  // backlog drains.
+  release.set_value();
+  ASSERT_TRUE(test::WaitFor(
+      [&] {
+        std::lock_guard lock(mu);
+        return got.size() == kFrames;
+      },
+      std::chrono::seconds(30)));
+  for (const Bytes& f : got) EXPECT_EQ(f, frame);
+  EXPECT_TRUE(test::WaitFor([&] { return server->PendingSendBytes() == 0; }));
+  client->Close();
+  EXPECT_TRUE(client->WaitClosed(5000));
 }
 
 TEST(TcpChannelTest, CloseFromAnotherThreadUnblocksReceive) {
+  // Closing a connection from another thread reaches its handlers as the
+  // close edge, and the fd stays held until the last user is gone (the
+  // close-vs-receive race): Close() shuts down, the destructor releases it.
   TcpListener listener(0);
   ChannelPtr client = TcpConnect(listener.Port());
   ChannelPtr server = AcceptOn(listener);
 
-  std::thread receiver([&] { EXPECT_FALSE(client->Receive().has_value()); });
+  std::atomic<bool> closed{false};
+  client->StartAsync([](BytesView) {}, [&] { closed.store(true); });
+  std::thread waiter([&] { EXPECT_TRUE(client->WaitClosed(5000)); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Closing the fd a reader is blocked on must not recycle it under the
-  // reader (the close-vs-receive race): Close() shuts down, the destructor
-  // releases the fd only once every user is gone.
   client->Close();
-  receiver.join();
+  waiter.join();
+  EXPECT_TRUE(closed.load());
   EXPECT_FALSE(client->IsOpen());
 }
 
@@ -359,8 +405,9 @@ TEST(TcpConnectTest, RetryBridgesLateListener) {
   ASSERT_TRUE(client != nullptr);
   ChannelPtr server = AcceptOn(*listener);
   ASSERT_TRUE(server != nullptr);
+  Inbox inbox(*server);
   ASSERT_TRUE(client->Send(Bytes{7}));
-  auto r = server->Receive();
+  auto r = inbox.Pop();
   ASSERT_TRUE(r);
   EXPECT_EQ((*r)[0], 7);
 }
@@ -387,7 +434,7 @@ TEST(TcpListenerTest, MultipleConnections) {
   // Each server connection gets exactly its client's byte.
   std::set<std::uint8_t> seen;
   for (auto& s : servers) {
-    auto r = s->Receive();
+    auto r = Inbox(*s).Pop();
     ASSERT_TRUE(r);
     seen.insert((*r)[0]);
   }
