@@ -251,6 +251,7 @@ int main(int argc, char** argv) {
 
   audit::JsonEmitter e(/*pretty=*/true);
   e.OpenObject();
+  bench::EmitHardwareStamp(e);
   e.OpenObject("config");
   e.NumberField("entries", fleet.entries.size());
   e.NumberField("pairs", db.Pairs().size());

@@ -1,12 +1,18 @@
 // Figure 13 — average end-to-end message latency (publisher -> subscriber)
 // vs. data size, ADLP against the baseline (no crypto, data-only messages).
 //
+//   bench_fig13_latency [--out FILE]
+//
 // Shape to reproduce: the ADLP curve sits above the baseline by roughly
 // twice the hash+sign time (the publisher signs once; the subscriber hashes
 // + signs the ACK before delivering), and the gap is nearly constant until
-// hashing starts to scale with payload size.
-#include <atomic>
+// hashing starts to scale with payload size. That shape is the gate, since
+// it holds on any hardware: the run exits 1 unless ADLP is above Base at
+// every size and the ADLP - Base gap at Image size exceeds the gap at 16 B.
+// `--out` writes both means per size as JSON (schema-checked by
+// tools/check_bench_json.py).
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 
 #include "bench_util.h"
@@ -69,13 +75,64 @@ LatencyResult MeasureLatency(proto::LoggingScheme scheme,
   return result;
 }
 
+struct SizeRow {
+  std::size_t size_bytes = 0;
+  double base_ms = 0.0;
+  double adlp_ms = 0.0;
+};
+
+void WriteJson(const std::vector<SizeRow>& rows, int messages,
+               bool adlp_above_base, bool gap_grows, const std::string& path) {
+  const auto ms = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6f", v);
+    return std::string(buf);
+  };
+  audit::JsonEmitter e(/*pretty=*/true);
+  e.OpenObject();
+  EmitHardwareStamp(e);
+  e.OpenObject("config");
+  e.NumberField("messages", static_cast<std::uint64_t>(messages));
+  e.NumberField("rsa_bits", 1024);
+  e.CloseObject();
+  e.OpenArray("results");
+  for (const SizeRow& row : rows) {
+    e.OpenObject();
+    e.NumberField("size_bytes", row.size_bytes);
+    e.Field("base_ms_mean", ms(row.base_ms));
+    e.Field("adlp_ms_mean", ms(row.adlp_ms));
+    e.CloseObject();
+  }
+  e.CloseArray();
+  e.OpenObject("gate");
+  e.Field("adlp_above_base", adlp_above_base ? "true" : "false");
+  e.Field("gap_grows_to_image", gap_grows ? "true" : "false");
+  e.CloseObject();
+  e.Field("fig13_ok", adlp_above_base && gap_grows ? "true" : "false");
+  e.CloseObject();
+  std::ofstream out(path);
+  out << std::move(e).Take() << "\n";
+  std::printf("wrote %s\n", path.c_str());
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string out_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      out_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--out FILE]\n", argv[0]);
+      return 2;
+    }
+  }
   constexpr int kMessages = 120;
+  constexpr std::size_t kSmallest = 16;
+  constexpr std::size_t kImage = 921641;
   const std::vector<std::size_t> kSizes = {
-      16,       256,       4 * 1024,   16 * 1024,  64 * 1024,
-      256 * 1024, 921641,  1 << 20};
+      kSmallest,  256,    4 * 1024, 16 * 1024, 64 * 1024,
+      256 * 1024, kImage, 1 << 20};
 
   PrintHeader(
       "Figure 13: average message latency from publisher to subscriber");
@@ -84,14 +141,23 @@ int main() {
               "ADLP - Base [ms]");
   PrintRule(92);
 
+  std::vector<SizeRow> rows;
+  bool adlp_above_base = true;
+  double gap_smallest = 0.0;
+  double gap_image = 0.0;
   for (std::size_t size : kSizes) {
     const LatencyResult base =
         MeasureLatency(adlp::proto::LoggingScheme::kNone, size, kMessages);
     const LatencyResult adlp =
         MeasureLatency(adlp::proto::LoggingScheme::kAdlp, size, kMessages);
+    const double gap = adlp.stats.mean - base.stats.mean;
     std::printf("%-12zu | %10.4f (%8.4f)     | %10.4f (%8.4f)     | %+.4f\n",
                 size, base.stats.mean, base.stats.p99, adlp.stats.mean,
-                adlp.stats.p99, adlp.stats.mean - base.stats.mean);
+                adlp.stats.p99, gap);
+    rows.push_back({size, base.stats.mean, adlp.stats.mean});
+    adlp_above_base = adlp_above_base && gap > 0.0;
+    if (size == kSmallest) gap_smallest = gap;
+    if (size == kImage) gap_image = gap;
   }
   PrintRule(92);
   std::printf(
@@ -101,5 +167,18 @@ int main() {
       "(PyCrypto) reported a\n"
       "~6-8 ms gap; our C++ crypto makes both curves faster but preserves "
       "the ordering.\n");
+  const bool gap_grows = gap_image > gap_smallest;
+  if (!out_path.empty()) {
+    WriteJson(rows, kMessages, adlp_above_base, gap_grows, out_path);
+  }
+  if (!adlp_above_base || !gap_grows) {
+    std::fprintf(stderr,
+                 "bench_fig13_latency: FAILURE — %s\n",
+                 !adlp_above_base
+                     ? "ADLP is not above Base at every size"
+                     : "the ADLP - Base gap at Image size does not exceed "
+                       "the gap at 16 B");
+    return 1;
+  }
   return 0;
 }

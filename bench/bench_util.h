@@ -3,14 +3,18 @@
 // size so signature/message byte counts line up with Tables I and III).
 #pragma once
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "adlp/component.h"
 #include "adlp/log_server.h"
+#include "audit/report_json.h"
 #include "common/clock.h"
 #include "common/rng.h"
 #include "pubsub/master.h"
@@ -80,6 +84,37 @@ inline std::string HumanBytes(double bytes) {
     std::snprintf(buf, sizeof(buf), "%.0f B", bytes);
   }
   return buf;
+}
+
+/// Writes `"hardware": {cpu_model, nproc, sha_ni, avx2}` into the object
+/// `e` has open, from /proc/cpuinfo (the fields perfbench stamps). One CPU
+/// flag moves hash-bound numbers several-fold, so
+/// tools/check_bench_json.py --compare refuses two stamps that disagree on
+/// sha_ni.
+inline void EmitHardwareStamp(audit::JsonEmitter& e) {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  std::string model;
+  std::string flags;
+  while (std::getline(cpuinfo, line)) {
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::size_t value = line.find_first_not_of(" \t", colon + 1);
+    const std::string rest =
+        value == std::string::npos ? "" : line.substr(value);
+    if (model.empty() && line.rfind("model name", 0) == 0) model = rest;
+    if (flags.empty() && line.rfind("flags", 0) == 0) flags = " " + rest + " ";
+  }
+  const auto has = [&flags](const char* flag) {
+    return flags.find(std::string(" ") + flag + " ") != std::string::npos;
+  };
+  e.OpenObject("hardware");
+  e.StringField("cpu_model", model);
+  e.NumberField("nproc",
+                static_cast<std::uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
+  e.Field("sha_ni", has("sha_ni") ? "true" : "false");
+  e.Field("avx2", has("avx2") ? "true" : "false");
+  e.CloseObject();
 }
 
 /// Component options preset for benches: 1024-bit keys as in the paper.

@@ -164,6 +164,7 @@ int main(int argc, char** argv) {
 
   audit::JsonEmitter e(/*pretty=*/true);
   e.OpenObject();
+  bench::EmitHardwareStamp(e);
   e.OpenObject("config");
   e.NumberField("iters", iters);
   e.NumberField("threads", threads);

@@ -258,6 +258,7 @@ int main(int argc, char** argv) {
   audit::JsonEmitter e(/*pretty=*/true);
   char buf[64];
   e.OpenObject();
+  bench::EmitHardwareStamp(e);
   e.OpenObject("config");
   e.NumberField("entries", entries);
   e.NumberField("reps", reps);

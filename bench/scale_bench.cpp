@@ -630,6 +630,7 @@ int main(int argc, char** argv) {
 
   audit::JsonEmitter e(/*pretty=*/true);
   e.OpenObject();
+  bench::EmitHardwareStamp(e);
   e.OpenObject("config");
   e.NumberField("payload_bytes", payload_bytes);
   e.NumberField("window", window);

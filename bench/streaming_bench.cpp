@@ -266,6 +266,7 @@ int main(int argc, char** argv) {
 
   audit::JsonEmitter e(/*pretty=*/true);
   e.OpenObject();
+  bench::EmitHardwareStamp(e);
   e.OpenObject("config");
   e.NumberField("entries", fleet.entries);
   e.NumberField("transmissions", fleet.arrivals.size());

@@ -1,6 +1,7 @@
 #include "adlp/log_server.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/rng.h"
 #include "obs/instrument.h"
@@ -34,17 +35,17 @@ void LogServer::RegisterKey(const crypto::ComponentId& id,
 }
 
 void LogServer::Append(const LogEntry& entry) {
-  Bytes record = SerializeLogEntry(entry);
+  const Bytes record = SerializeLogEntry(entry);
   MutexLock lock(mu_);
-  AppendRecordLocked(entry, std::move(record));
+  AppendRecordLocked(entry, record);
   MaybeSealLocked();
 }
 
-void LogServer::AppendRecordLocked(const LogEntry& entry, Bytes record) {
+void LogServer::AppendRecordLocked(const LogEntry& entry, BytesView record) {
   tree_.Append(record);
   total_bytes_ += record.size();
   bytes_by_component_[entry.component] += record.size();
-  records_.push_back(std::move(record));
+  records_.Append(record);
   if (tap_ != nullptr) {
     // Inside the critical section so tap order is exactly arrival order —
     // the streaming auditor sees the same sequence a later Entries() batch
@@ -53,7 +54,7 @@ void LogServer::AppendRecordLocked(const LogEntry& entry, Bytes record) {
     TapEvent event;
     event.kind = TapEvent::Kind::kEntry;
     event.entry = entry;
-    event.index = records_.size() - 1;
+    event.index = records_.Size() - 1;
     tap_->Push(std::move(event));
   }
 }
@@ -173,13 +174,13 @@ LogServer::UploadSeqOutcome LogServer::NoteUploadSeqGapChecked(
 
 LogServer::UploadSeqOutcome LogServer::ApplyTaggedEntry(
     const std::string& sink_id, std::uint64_t seq, const LogEntry& entry) {
-  Bytes record = SerializeLogEntry(entry);
+  const Bytes record = SerializeLogEntry(entry);
   MutexLock lock(mu_);
   std::uint64_t& watermark = upload_watermarks_[sink_id];
   if (seq <= watermark) return UploadSeqOutcome::kDuplicate;
   if (seq > watermark + 1) return UploadSeqOutcome::kGap;
   watermark = seq;
-  AppendRecordLocked(entry, std::move(record));
+  AppendRecordLocked(entry, record);
   MaybeSealLocked();
   return UploadSeqOutcome::kFresh;
 }
@@ -286,9 +287,9 @@ void LogServer::AttachTap(LogTapQueue* tap) {
 std::vector<LogEntry> LogServer::Entries() const {
   MutexLock lock(mu_);
   std::vector<LogEntry> out;
-  out.reserve(records_.size());
-  for (const Bytes& record : records_) {
-    out.push_back(DeserializeLogEntry(record));
+  out.reserve(records_.Size());
+  for (std::size_t i = 0; i < records_.Size(); ++i) {
+    out.push_back(DeserializeLogEntry(records_[i]));
   }
   return out;
 }
@@ -297,8 +298,8 @@ std::vector<LogEntry> LogServer::EntriesFor(
     const crypto::ComponentId& id) const {
   MutexLock lock(mu_);
   std::vector<LogEntry> out;
-  for (const Bytes& record : records_) {
-    LogEntry entry = DeserializeLogEntry(record);
+  for (std::size_t i = 0; i < records_.Size(); ++i) {
+    LogEntry entry = DeserializeLogEntry(records_[i]);
     if (entry.component == id) out.push_back(std::move(entry));
   }
   return out;
@@ -306,7 +307,7 @@ std::vector<LogEntry> LogServer::EntriesFor(
 
 std::size_t LogServer::EntryCount() const {
   MutexLock lock(mu_);
-  return records_.size();
+  return records_.Size();
 }
 
 std::uint64_t LogServer::TotalBytes() const {
@@ -323,30 +324,34 @@ std::uint64_t LogServer::BytesFor(const crypto::ComponentId& id) const {
 bool LogServer::VerifyRecords() const {
   MutexLock lock(mu_);
   crypto::MerkleTree recomputed;
-  for (const Bytes& record : records_) recomputed.Append(record);
+  for (std::size_t i = 0; i < records_.Size(); ++i) {
+    recomputed.Append(records_[i]);
+  }
   return recomputed.Root() == tree_.Root();
 }
 
 std::vector<Bytes> LogServer::SerializedRecords() const {
-  MutexLock lock(mu_);
-  return records_;
+  return RecordRange(0, std::numeric_limits<std::uint64_t>::max());
 }
 
 std::vector<Bytes> LogServer::RecordRange(std::uint64_t first,
                                           std::uint64_t count) const {
   MutexLock lock(mu_);
-  if (first >= records_.size()) return {};
+  if (first >= records_.Size()) return {};
   const std::uint64_t end =
-      first + std::min<std::uint64_t>(count, records_.size() - first);
-  return std::vector<Bytes>(
-      records_.begin() + static_cast<std::ptrdiff_t>(first),
-      records_.begin() + static_cast<std::ptrdiff_t>(end));
+      first + std::min<std::uint64_t>(count, records_.Size() - first);
+  std::vector<Bytes> out;
+  out.reserve(end - first);
+  for (std::uint64_t i = first; i < end; ++i) {
+    out.emplace_back(records_[i].begin(), records_[i].end());
+  }
+  return out;
 }
 
 bool LogServer::CorruptRecordForTest(std::size_t index) {
   MutexLock lock(mu_);
-  if (index >= records_.size() || records_[index].empty()) return false;
-  records_[index][0] ^= 0x01;
+  if (index >= records_.Size() || records_[index].empty()) return false;
+  records_.MutableRecordForTest(index)[0] ^= 0x01;
   return true;
 }
 

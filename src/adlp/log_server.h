@@ -4,7 +4,8 @@
 // under an RFC 6962 Merkle tree, keeps the public-key registry, and exposes
 // the query surface the auditor works from. It has no back-channel to the
 // nodes: entries are pushed in, so a logger failure never interrupts the
-// data plane (no single-point failure for the pub/sub system).
+// data plane (no single-point failure for the pub/sub system). The records
+// live in a RecordStore, off the heap.
 //
 // The tree is periodically sealed into signed, hash-linked `EpochRoot`s
 // (every `seal_every` appends and/or `seal_interval_ms` of wall time,
@@ -23,6 +24,7 @@
 #include "adlp/epoch.h"
 #include "adlp/log_entry.h"
 #include "adlp/log_tap.h"
+#include "adlp/record_store.h"
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -211,7 +213,8 @@ class LogServer final : public LogSink {
       const std::map<std::string, std::uint64_t>* watermark_snapshot = nullptr)
       REQUIRES(mu_);
   void MaybeSealLocked() REQUIRES(mu_);
-  void AppendRecordLocked(const LogEntry& entry, Bytes record) REQUIRES(mu_);
+  void AppendRecordLocked(const LogEntry& entry, BytesView record)
+      REQUIRES(mu_);
 
   const LogServerOptions options_;
   const crypto::SigKeyPair seal_keys_;  // immutable after construction
@@ -223,7 +226,7 @@ class LogServer final : public LogSink {
   crypto::MerkleTree tree_ GUARDED_BY(mu_);
   /// The only copy of each entry. Every record parses: Append serialized
   /// it, and repair validates records before committing them.
-  std::vector<Bytes> records_ GUARDED_BY(mu_);
+  RecordStore records_ GUARDED_BY(mu_);
   std::uint64_t total_bytes_ GUARDED_BY(mu_) = 0;
   std::map<crypto::ComponentId, std::uint64_t> bytes_by_component_
       GUARDED_BY(mu_);

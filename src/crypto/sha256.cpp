@@ -3,6 +3,13 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/sha256_compress.h"
+
+#if defined(ADLP_SHA256_SHANI)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace adlp::crypto {
 
 namespace {
@@ -47,47 +54,153 @@ void Sha256::Reset() {
   buffer_len_ = 0;
 }
 
-void Sha256::Compress(const std::uint8_t block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = Load32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^
-                             (w[i - 15] >> 3);
-    const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^
-                             (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+namespace internal {
+
+void Sha256CompressScalar(std::uint32_t state[8], const std::uint8_t* data,
+                          std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) w[i] = Load32(data + 4 * i);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 = std::rotr(w[i - 15], 7) ^
+                               std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 = std::rotr(w[i - 2], 17) ^
+                               std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 =
+          std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 =
+          std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(ADLP_SHA256_SHANI)
+
+// The SHA-NI round instruction keeps the working variables as two vectors,
+// ABEF and CDGH, and takes two rounds per call with W[i] + K[i] in the low
+// 64 bits of its message operand. Each 4-round group i uses message vector
+// m[i % 4] (W[4i..4i+3]); sha256msg1/msg2 extend the schedule four words at
+// a time, as FIPS 180-4's sigma0/sigma1 recurrence does one word at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void Sha256CompressShaNi(
+    std::uint32_t state[8], const std::uint8_t* data, std::size_t blocks) {
+  // Big-endian message words to little-endian lanes.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i m[4];
+    // Fully unrolled, m[] indices are constants and m[] stays in registers
+    // (GCC leaves the loop rolled otherwise: 25 % slower per Image).
+#if defined(__clang__)
+#pragma unroll
+#else
+#pragma GCC unroll 16
+#endif
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4) {
+        m[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            kByteSwap);
+      }
+      const __m128i wk = _mm_add_epi32(
+          m[i % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (i >= 3 && i <= 14) {
+        // W[4(i+1)..]: finish the schedule msg1 started three groups ago.
+        __m128i& next = m[(i + 1) % 4];
+        next = _mm_add_epi32(next, _mm_alignr_epi8(m[i % 4], m[(i + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, m[i % 4]);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (i >= 1 && i <= 12) {
+        m[(i + 3) % 4] = _mm_sha256msg1_epu32(m[(i + 3) % 4], m[i % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
 
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 =
-        std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 =
-        std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
+bool CpuHasShaNi() {
+  static const bool has = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+    const bool ssse3 = (c & bit_SSSE3) != 0;
+    const bool sse41 = (c & bit_SSE4_1) != 0;
+    if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+    return ssse3 && sse41 && (b & bit_SHA) != 0;
+  }();
+  return has;
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+#else
+
+bool CpuHasShaNi() { return false; }
+
+#endif
+
+}  // namespace internal
+
+namespace {
+
+using CompressFn = void (*)(std::uint32_t*, const std::uint8_t*, std::size_t);
+
+CompressFn SelectCompress() {
+#if defined(ADLP_SHA256_SHANI)
+  if (internal::CpuHasShaNi()) return internal::Sha256CompressShaNi;
+#endif
+  return internal::Sha256CompressScalar;
+}
+
+}  // namespace
+
+void Sha256::Compress(const std::uint8_t* blocks, std::size_t count) {
+  static const CompressFn compress = SelectCompress();
+  compress(state_, blocks, count);
 }
 
 void Sha256::Update(BytesView data) {
@@ -101,13 +214,14 @@ void Sha256::Update(BytesView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      Compress(buffer_);
+      Compress(buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    Compress(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    Compress(data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_, data.data() + offset, data.size() - offset);

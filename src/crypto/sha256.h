@@ -3,9 +3,13 @@
 // This is the hash `h(.)` of the paper: preimage- and collision-resistant,
 // 32-byte digest. Used for message digests, PKCS#1 v1.5 signatures, the
 // subscriber's stored `h(I_y)`, and the trusted logger's Merkle tree.
+// Blocks are compressed with the x86 SHA extensions when the CPU has them,
+// chosen once per process, and by portable code otherwise
+// (sha256_compress.h).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bytes.h"
@@ -28,7 +32,8 @@ class Sha256 {
   Digest Finish();
 
  private:
-  void Compress(const std::uint8_t block[64]);
+  /// Compresses `count` consecutive 64-byte blocks into the state.
+  void Compress(const std::uint8_t* blocks, std::size_t count);
 
   std::uint32_t state_[8];
   std::uint64_t bit_count_ = 0;

@@ -6,19 +6,23 @@
 
 Validates BENCH_audit.json (audit_bench), BENCH_obs.json (obs_bench),
 BENCH_scale.json (scale_bench), BENCH_streaming.json (streaming_bench),
-BENCH_replication.json (replication_bench), and BENCH_repair.json
-(repair_bench): the file must parse, carry
+BENCH_replication.json (replication_bench), BENCH_repair.json
+(repair_bench), and the --out files of bench_table1_crypto and
+bench_fig13_latency: the file must parse, carry
 every expected field with the expected type, and its self-reported pass
 flag (all_reports_identical / within_budget / scale_ok / streaming_ok /
-replication_ok / repair_ok) must be true. The schema
+replication_ok / repair_ok / table1_ok / fig13_ok) must be true. The schema
 is recognised from the document's contents, not the file name, so renamed
-artifacts still validate.
+artifacts still validate. A "hardware" block (cpu_model, nproc, sha_ni,
+avx2) is validated when present.
 
 With --compare, exactly one FILE is checked against BASELINE (same schema):
 every gated metric in the baseline must be matched in the current file and
 must not regress by more than --max-regress (fraction, default 0.15).
 Throughput-style metrics (entries_per_sec, deliveries_per_sec) regress
-downward; cost-style metrics (ns_per_record) regress upward.
+downward; cost-style metrics (ns_per_record) regress upward. Two files
+whose hardware stamps disagree on sha_ni are not compared; a file without
+a stamp is compared, with its hardware reported as unknown.
 
 Exit status: 0 = all files valid; 1 = a check failed; 2 = usage error.
 """
@@ -44,6 +48,21 @@ def require(doc, key, kind, where):
             f"expected {expected}"
         )
     return value
+
+
+def check_hardware(doc, name):
+    hardware = doc.get("hardware")
+    if hardware is None:
+        return
+    where = f"{name}.hardware"
+    if not isinstance(hardware, dict):
+        raise SchemaError(f"{where}: is {type(hardware).__name__}, expected dict")
+    require(hardware, "cpu_model", str, where)
+    nproc = require(hardware, "nproc", int, where)
+    if nproc <= 0:
+        raise SchemaError(f"{where}: 'nproc' must be positive, got {nproc}")
+    for flag in ("sha_ni", "avx2"):
+        require(hardware, flag, bool, where)
 
 
 def check_audit(doc, name):
@@ -299,6 +318,71 @@ def check_repair(doc, name):
         raise SchemaError(f"{name}: repair_ok is false")
 
 
+def check_table1(doc, name):
+    config = require(doc, "config", dict, name)
+    for field in ("samples", "rsa_bits"):
+        require(config, field, int, f"{name}.config")
+
+    results = require(doc, "results", list, name)
+    types = []
+    for i, result in enumerate(results):
+        where = f"{name}.results[{i}]"
+        types.append(require(result, "type", str, where))
+        require(result, "size_bytes", int, where)
+        for field in ("hash_ms_mean", "hash_sign_ms_mean"):
+            value = require(result, field, (int, float), where)
+            if value <= 0:
+                raise SchemaError(
+                    f"{where}: '{field}' must be positive, got {value}"
+                )
+        for field in ("hash_ms_stdev", "hash_sign_ms_stdev"):
+            value = require(result, field, (int, float), where)
+            if value < 0:
+                raise SchemaError(f"{where}: '{field}' is negative: {value}")
+    if types != ["Steering", "Scan", "Image"]:
+        raise SchemaError(
+            f"{name}: results are {types}, expected Steering, Scan, Image"
+        )
+
+    gate = require(doc, "gate", dict, name)
+    if not require(gate, "hash_grows_with_size", bool, f"{name}.gate"):
+        raise SchemaError(
+            f"{name}.gate: hashing time does not grow Steering < Scan < Image"
+        )
+    if not require(doc, "table1_ok", bool, name):
+        raise SchemaError(f"{name}: table1_ok is false")
+
+
+def check_fig13(doc, name):
+    config = require(doc, "config", dict, name)
+    for field in ("messages", "rsa_bits"):
+        require(config, field, int, f"{name}.config")
+
+    results = require(doc, "results", list, name)
+    if not results:
+        raise SchemaError(f"{name}: empty results array")
+    for i, result in enumerate(results):
+        where = f"{name}.results[{i}]"
+        require(result, "size_bytes", int, where)
+        for field in ("base_ms_mean", "adlp_ms_mean"):
+            value = require(result, field, (int, float), where)
+            if value <= 0:
+                raise SchemaError(
+                    f"{where}: '{field}' must be positive, got {value}"
+                )
+
+    gate = require(doc, "gate", dict, name)
+    if not require(gate, "adlp_above_base", bool, f"{name}.gate"):
+        raise SchemaError(f"{name}.gate: ADLP is not above Base at every size")
+    if not require(gate, "gap_grows_to_image", bool, f"{name}.gate"):
+        raise SchemaError(
+            f"{name}.gate: the ADLP - Base gap at Image size does not "
+            f"exceed the gap at 16 B"
+        )
+    if not require(doc, "fig13_ok", bool, name):
+        raise SchemaError(f"{name}: fig13_ok is false")
+
+
 # Schema name -> (row key fields, gated metrics). Each metric is
 # (field, direction): "up" = higher is better, "down" = lower is better.
 COMPARE_SPECS = {
@@ -314,6 +398,13 @@ COMPARE_SPECS = {
     # Reconvergence absolutes include localhost TCP round trips and thread
     # scheduling; only verified-repair throughput regresses.
     "repair_bench": (("behind",), (("repair_records_per_sec", "up"),)),
+    # Hash and sign costs move with the CPU's SHA extensions, hence the
+    # sha_ni refusal in compare().
+    "table1_crypto": (
+        ("type",),
+        (("hash_ms_mean", "down"), ("hash_sign_ms_mean", "down")),
+    ),
+    "fig13_latency": (("size_bytes",), (("adlp_ms_mean", "down"),)),
 }
 
 # When both rows carry the preferred variant of a metric, compare that
@@ -329,6 +420,19 @@ PREFERRED_FIELDS = {
 
 def compare(doc, baseline, kind, name, base_name, max_regress):
     key_fields, metrics = COMPARE_SPECS[kind]
+
+    cur_hw = doc.get("hardware")
+    base_hw = baseline.get("hardware")
+    for label, hardware in ((name, cur_hw), (base_name, base_hw)):
+        if hardware is None:
+            print(f"{label}: hardware unknown (no hardware stamp)")
+    if cur_hw is not None and base_hw is not None:
+        if cur_hw["sha_ni"] != base_hw["sha_ni"]:
+            raise SchemaError(
+                f"{name} has sha_ni={json.dumps(cur_hw['sha_ni'])} but "
+                f"{base_name} has sha_ni={json.dumps(base_hw['sha_ni'])}; "
+                f"compare like with like"
+            )
 
     if kind == "audit_bench":
         cur_alg = doc.get("config", {}).get("alg")
@@ -398,6 +502,7 @@ def load(path):
 
 def check_doc(doc, path):
     """Validates `doc` and returns its recognised schema name."""
+    check_hardware(doc, path)
     if "all_reports_identical" in doc:
         check_audit(doc, path)
         kind = "audit_bench"
@@ -416,6 +521,12 @@ def check_doc(doc, path):
     elif "repair_ok" in doc:
         check_repair(doc, path)
         kind = "repair_bench"
+    elif "table1_ok" in doc:
+        check_table1(doc, path)
+        kind = "table1_crypto"
+    elif "fig13_ok" in doc:
+        check_fig13(doc, path)
+        kind = "fig13_latency"
     else:
         raise SchemaError(f"{path}: unrecognised bench output")
     print(f"{path}: ok ({kind}, {len(doc['results'])} results)")
